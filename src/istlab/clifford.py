@@ -312,12 +312,6 @@ def extract_signs(module: CliffordModule, convention: str) -> SignQuadruple:
     return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=sigma_sign * eps2)
 
 
-def _realify(mats):
-    """Stack complex matrices as rows of a real coefficient matrix."""
-    rows = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    return np.array(rows)
-
-
 def _real_nullspace(A, rtol=1e-9):
     # economy SVD keeps every right-singular vector when A is tall
     full = A.shape[0] < A.shape[1]

@@ -20,6 +20,7 @@ from .kspace import (
     antilinear_adjoint,
     as_matrix,
     frob,
+    realspan,
     scalar_coefficient,
     snap_sign,
 )
@@ -62,17 +63,20 @@ class FiniteAlgebra:
         """Worst distance of a basis product from the real span."""
         if getattr(self, "_closure", None) is not None:
             return self._closure
-        flat = np.array(
-            [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in self.basis]
-        ).T
-        pinv = np.linalg.pinv(flat)
         B = np.stack(self.basis)
-        prods = (B[:, None, :, :] @ B[None, :, :, :]).reshape(len(B) ** 2, -1)
-        V = np.concatenate([prods.real, prods.imag], axis=1)
-        resid = V - (V @ pinv.T) @ flat.T
-        scales = np.maximum(1.0, np.linalg.norm(V, axis=1))
-        self._closure = float((np.linalg.norm(resid, axis=1) / scales).max())
+        span = realspan(B, _lstsq_rtol(B))
+        worst = 0.0
+        for a in B:  # one row of products at a time bounds the memory
+            norms, dists = span.residuals(a @ B)
+            worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
+        self._closure = worst
         return self._closure
+
+
+def _lstsq_rtol(mats) -> float:
+    """The rank cutoff numpy's pinv and lstsq apply to the full realification."""
+    m, n1, n2 = np.shape(mats)
+    return max(m, 2 * n1 * n2) * np.finfo(float).eps
 
 
 def scalar_algebra(n: int) -> FiniteAlgebra:
@@ -225,20 +229,23 @@ def first_order(triple: IndefiniteTriple) -> float:
     return worst
 
 
-def one_form_span(triple: IndefiniteTriple) -> list:
-    """The generating matrices pi(a_i) [D, pi(b_j)] over basis pairs.
+def one_form_generators(triple: IndefiniteTriple) -> tuple:
+    """The nonvanishing [D, pi(b_j)] and the one-forms they generate.
 
-    Pairs whose commutator vanishes identically are dropped; the real
-    span is unchanged.
+    Returns (commutators, pairs): the commutators as (j, [D, pi(b_j)])
+    and the matrices pi(a_i) [D, pi(b_j)] over every basis a_i and every
+    such commutator, i-major.  Pairs whose commutator vanishes are
+    dropped; the real span is unchanged.
     """
     D = triple.dirac
     scale = max(1.0, _maxabs(D))
     comms = []
-    for b in triple.algebra.basis:
+    for j, b in enumerate(triple.algebra.basis):
         c = D @ b - b @ D
         if _maxabs(c) > 1e-13 * scale:
-            comms.append(c)
-    return [a @ c for a in triple.algebra.basis for c in comms]
+            comms.append((j, c))
+    pairs = [a @ c for a in triple.algebra.basis for _, c in comms]
+    return comms, pairs
 
 
 def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:
@@ -256,17 +263,13 @@ def fluctuate(triple: IndefiniteTriple, omega, membership_tol=1e-8) -> np.ndarra
     omega = as_matrix(omega)
     if _maxabs(triple.form.adjoint(omega) - omega) > membership_tol:
         raise ValueError("one-form is not self-adjoint")
-    span = one_form_span(triple)
-    v = np.concatenate([omega.real.ravel(), omega.imag.ravel()])
-    if span:
-        flat = np.array(
-            [np.concatenate([s.real.ravel(), s.imag.ravel()]) for s in span]
-        ).T
-        coef, *_ = np.linalg.lstsq(flat, v, rcond=None)
-        resid = float(np.linalg.norm(v - flat @ coef))
+    _, pairs = one_form_generators(triple)
+    if pairs:
+        norms, dists = realspan(pairs, _lstsq_rtol(pairs)).residuals([omega])
+        norm, resid = float(norms[0]), float(dists[0])
     else:
-        resid = float(np.linalg.norm(v))
-    if resid / max(1.0, float(np.linalg.norm(v))) > membership_tol:
+        norm = resid = float(np.linalg.norm(omega))
+    if resid / max(1.0, norm) > membership_tol:
         raise ValueError("operator is outside the one-form span")
     M = triple.cc.mat
     return triple.dirac + omega + M @ np.conj(omega) @ np.linalg.inv(M)

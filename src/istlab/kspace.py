@@ -5,6 +5,8 @@ A Krein form is a hermitian invertible gram matrix H with pairing
 T^x = H^-1 T^dag H; antilinear operators psi -> M conj(psi) get the
 adjoint matrix H^-1 M^T conj(H).  Fundamental symmetries are Krein
 self-adjoint involutions eta with (., eta .) positive definite.
+Real spans of lists of complex matrices, and the kernels of their
+coefficient maps, come from one realified SVD (``realspan``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 ATOL = 1e-12   # absolute zero tests
 RTOL = 1e-10   # relative matrix equality, Frobenius scale
 COND_MAX = 1e8  # refuse grams conditioned worse than this
+RANK_RTOL = 1e-9  # numerical rank counts singular values above s[0] * RANK_RTOL
 
 
 class DegenerateProjectionError(ValueError):
@@ -30,6 +33,95 @@ def as_matrix(M) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     return A
+
+
+def _as_stack(mats) -> np.ndarray:
+    """Coerce a nonempty list of equal-shape matrices to an (m, n1, n2) array."""
+    M = np.asarray(mats, dtype=np.complex128)
+    if M.ndim != 3 or M.shape[0] == 0:
+        raise ValueError("expected a nonempty list of equal-shape matrices")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    return M
+
+
+def _support(flat) -> tuple:
+    """Masks of the real and imaginary coordinates nonzero in some row of flat."""
+    return (flat.real != 0).any(axis=0), (flat.imag != 0).any(axis=0)
+
+
+def _realify(flat, support) -> np.ndarray:
+    """Rows of flat as real vectors over the supported coordinates only."""
+    re_on, im_on = support
+    return np.concatenate([flat.real[:, re_on], flat.imag[:, im_on]], axis=1)
+
+
+@dataclass
+class RealSpan:
+    """The real span of matrices M_1..M_m and the kernel of c -> sum c_i M_i.
+
+    ``basis`` is an (rank, n1, n2) array orthonormal for Re tr(S^dag T);
+    the columns of ``kernel`` are an orthonormal basis of the real
+    coefficient vectors c with sum c_i M_i = 0 (numerically).
+    """
+
+    basis: np.ndarray
+    kernel: np.ndarray
+    singular_values: np.ndarray
+    cutoff: float
+    rank: int
+    gap: float  # first discarded over last kept singular value, 0 if none
+    support: tuple = field(repr=False)  # realified coordinates the span touches
+
+    def residuals(self, mats) -> tuple:
+        """(norms, distances) of each matrix and of its residual off the span.
+
+        Both use the Frobenius norm; coordinates that are zero in every
+        matrix and every basis element drop out exactly.
+        """
+        flat = _as_stack(mats).reshape(len(mats), -1)
+        on = tuple(a | b for a, b in zip(_support(flat), self.support))
+        V = _realify(flat, on)
+        Q = _realify(self.basis.reshape(self.rank, flat.shape[1]), on)
+        resid = V - (V @ Q.T) @ Q
+        return np.linalg.norm(V, axis=1), np.linalg.norm(resid, axis=1)
+
+
+def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
+    """Span basis and coefficient kernel of matrices from one real SVD.
+
+    A real or imaginary coordinate that is exactly zero in every matrix
+    adds nothing to the span or the kernel, so only the others are
+    realified.  The singular values are padded with exact zeros to the
+    count a realification over all coordinates would give.  The rank
+    counts singular values above s[0] * rtol.
+    """
+    M = _as_stack(mats)
+    m, shape = M.shape[0], M.shape[1:]
+    flat = M.reshape(m, -1)
+    support = _support(flat)
+    A = _realify(flat, support)
+    # all m left-singular vectors are needed for the kernel
+    u, s, vt = np.linalg.svd(A, full_matrices=m > A.shape[1])
+    cutoff = float(s[0] * rtol) if s.size and s[0] > 0 else 0.0
+    rank = int(np.sum(s > cutoff))
+    gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
+    s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
+
+    basis = np.zeros((rank, flat.shape[1]), dtype=np.complex128)
+    re_on, im_on = support
+    n_re = int(re_on.sum())
+    basis.real[:, re_on] = vt[:rank, :n_re]
+    basis.imag[:, im_on] = vt[:rank, n_re:]
+    return RealSpan(
+        basis=basis.reshape(rank, *shape),
+        kernel=u[:, rank:],
+        singular_values=s,
+        cutoff=cutoff,
+        rank=rank,
+        gap=gap,
+        support=support,
+    )
 
 
 def frob(M) -> float:
@@ -198,13 +290,15 @@ def relate_fundamental_symmetries(eta, nu, form: KreinForm) -> np.ndarray:
     return P_ihalf @ S_half @ P_half
 
 
-def real_bilinear_project(X, span, varpi=None, mode="real"):
+def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
     """Orthogonal projection of X onto span for B(S,T) = tr(varpi S^dag varpi T).
 
     ``mode="real"`` projects within the real span using Re B (the right
     notion for real algebras); ``mode="hermitian"`` uses complex
     coefficients and the sesquilinear B itself.  Returns (projection,
     residual) with the residual B-orthogonal to every span element.
+    A caller that already holds the Gram of ``span`` for this form and
+    mode passes it as ``gram`` and checks its conditioning itself.
     """
     X = as_matrix(X)
     mats = [as_matrix(S) for S in span]
@@ -219,14 +313,16 @@ def real_bilinear_project(X, span, varpi=None, mode="real"):
         W = as_matrix(varpi)
     S = np.stack(mats)
     WS = (W[None, :, :] @ S.conj().transpose(0, 2, 1)) @ W
-    G = np.einsum("kab,lba->kl", WS, S)
     v = np.einsum("kab,ba->k", WS, X)
     if mode == "real":
-        G = G.real
         v = v.real
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
-        raise DegenerateProjectionError("degenerate projection product")
-    coeff = np.linalg.solve(G, v)
+    if gram is None:
+        gram = np.einsum("kab,lba->kl", WS, S)
+        if mode == "real":
+            gram = gram.real
+        sv = np.linalg.svd(gram, compute_uv=False)
+        if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
+            raise DegenerateProjectionError("degenerate projection product")
+    coeff = np.linalg.solve(gram, v)
     proj = sum(c * S for c, S in zip(coeff, mats))
     return proj, X - proj

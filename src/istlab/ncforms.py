@@ -13,22 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ist import IndefiniteTriple, check_axioms
+from .ist import IndefiniteTriple, check_axioms, one_form_generators
 from .kspace import (
     COND_MAX,
+    RANK_RTOL,
     DegenerateProjectionError,
     as_matrix,
     real_bilinear_project,
+    realspan,
 )
-
-RANK_RTOL = 1e-9
-
-
-def _realify(mats) -> np.ndarray:
-    """Rows are the realified matrices (real parts then imaginary parts)."""
-    return np.array(
-        [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    )
 
 
 @dataclass
@@ -39,32 +32,14 @@ class FormSpace:
     real_dim: int
     singular_values: np.ndarray = field(repr=False, default=None)
     threshold: float = 0.0
+    gap: float = 0.0  # first discarded over last kept singular value, 0 if none
 
     @classmethod
     def from_matrices(cls, mats, rtol=RANK_RTOL):
-        mats = [as_matrix(m) for m in mats]
-        if not mats:
+        if not len(mats):
             return cls([], 0, np.array([]), 0.0)
-        A = _realify(mats)
-        sv = np.linalg.svd(A, compute_uv=False)
-        cutoff = sv[0] * rtol if sv.size and sv[0] > 0 else 0.0
-        rank = int(np.sum(sv > cutoff))
-        # orthonormal real basis of the span, devectorized
-        _, _, vt = np.linalg.svd(A, full_matrices=False)
-        n = mats[0].shape[0]
-        basis = [
-            vt[k, : n * n].reshape(n, n) + 1j * vt[k, n * n:].reshape(n, n)
-            for k in range(rank)
-        ]
-        return cls(basis, rank, sv, cutoff)
-
-    @property
-    def gap(self) -> float:
-        """Ratio of the first discarded singular value to the last kept one."""
-        sv = self.singular_values
-        if sv is None or self.real_dim == 0 or self.real_dim >= sv.size:
-            return 0.0
-        return float(sv[self.real_dim] / sv[self.real_dim - 1])
+        sp = realspan(mats, rtol)
+        return cls(list(sp.basis), sp.rank, sp.singular_values, sp.cutoff, sp.gap)
 
     def contains(self, X, tol=1e-8) -> bool:
         X = as_matrix(X)
@@ -83,55 +58,34 @@ def _checked(triple: IndefiniteTriple):
         raise ValueError(f"triple fails axioms: {rep.failures()}")
 
 
-def _commutators(triple: IndefiniteTriple):
-    """Nonvanishing [D, pi(b)] with their basis indices."""
-    D = triple.dirac
-    scale = max(1.0, float(np.abs(D).max()))
-    out = []
-    for j, b in enumerate(triple.algebra.basis):
-        c = D @ b - b @ D
-        if float(np.abs(c).max()) > 1e-13 * scale:
-            out.append((j, c))
-    return out
-
-
 def one_forms(triple: IndefiniteTriple, rtol=RANK_RTOL) -> FormSpace:
     """Real span of pi(a_i) [D, pi(b_j)] over all basis pairs."""
     _checked(triple)
-    comms = [c for _, c in _commutators(triple)]
-    mats = [a @ c for a in triple.algebra.basis for c in comms]
-    return FormSpace.from_matrices(mats, rtol)
+    _, pairs = one_form_generators(triple)
+    return FormSpace.from_matrices(pairs, rtol)
 
 
 def junk_two_forms(triple: IndefiniteTriple, rtol=RANK_RTOL) -> FormSpace:
     """Image of ker[(a,b) -> pi(a)[D,pi(b)]] under (a,b) -> [D,pi(a)][D,pi(b)]."""
     _checked(triple)
-    indexed = _commutators(triple)
-    comms = [c for _, c in indexed]
-    if not comms:
+    indexed, pairs = one_form_generators(triple)
+    if not indexed:
         return FormSpace.from_matrices([], rtol)
-    basis = triple.algebra.basis
-    pairs = [a @ c for a in basis for c in comms]
-    A = _realify(pairs).T  # columns indexed by pairs
-    # economy SVD still carries all right-singular vectors when A is tall
-    full = A.shape[0] < A.shape[1]
-    _, s, vt = np.linalg.svd(A, full_matrices=full)
-    cutoff = s[0] * rtol if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
-    kernel = vt[rank:].T  # real coefficient vectors c_(i,j)
+    kernel = realspan(pairs, rtol).kernel  # real coefficient vectors c_(i,j)
     nk = kernel.shape[1]
     if nk == 0:
         return FormSpace.from_matrices([], rtol)
 
-    # sum_ij c_ij [D, pi(a_i)] [D, pi(b_j)]; only nonzero [D, pi(a_i)] matter
+    # sum_ij c_ij [D, pi(a_i)] [D, pi(b_j)]; only nonzero [D, pi(a_i)] matter,
+    # so every image is one combination of the k^2 commutator products
     nz = [i for i, _ in indexed]
-    dcomm = np.stack(comms)
-    coeff = kernel.T.reshape(nk, len(basis), len(comms))[:, nz, :]
-    weighted = np.tensordot(coeff, dcomm, axes=([2], [0]))
-    prods = dcomm[None, :, :, :] @ weighted
-    images = prods.sum(axis=1)
+    k, n = len(indexed), triple.dim
+    dcomm = np.stack([c for _, c in indexed])
+    coeff = kernel.T.reshape(nk, len(triple.algebra.basis), k)[:, nz, :]
+    prods = (dcomm[:, None] @ dcomm[None, :]).reshape(k * k, n * n)
+    images = (coeff.reshape(nk, k * k) @ prods).reshape(nk, n, n)
     # discard images that vanish at the scale of the commutator products
-    scale = float(max(np.abs(c).max() for c in comms)) ** 2
+    scale = float(np.abs(dcomm).max()) ** 2
     kept = [im for im in images if float(np.abs(im).max()) > 1e-11 * scale]
     return FormSpace.from_matrices(kept, rtol)
 
@@ -181,5 +135,7 @@ def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = N
         qspace = q_space(triple, varpi)
     if not np.isfinite(qspace.gram_cond) or qspace.gram_cond > COND_MAX:
         raise DegenerateProjectionError("degenerate projection product")
-    _, resid = real_bilinear_project(X, qspace.forms.span, varpi, mode="real")
+    _, resid = real_bilinear_project(
+        X, qspace.forms.span, varpi, mode="real", gram=qspace.gram
+    )
     return resid

@@ -155,8 +155,23 @@ def _blockdiag(blocks) -> np.ndarray:
     return out
 
 
+_ALGEBRAS = {}  # n_gen -> the shared, read-only FiniteAlgebra
+
+
 def sm_algebra(n_gen: int) -> FiniteAlgebra:
-    """Real basis of C + H + M3(C) in the blockwise representation."""
+    """Real basis of C + H + M3(C) in the blockwise representation.
+
+    The algebra does not depend on the Yukawas, so it is built once per
+    n_gen and shared by every model, together with its memoised closure
+    check; its matrices are read-only.
+    """
+    algebra = _ALGEBRAS.get(n_gen)
+    if algebra is None:
+        algebra = _ALGEBRAS[n_gen] = _build_sm_algebra(n_gen)
+    return algebra
+
+
+def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
     i2 = np.eye(2, dtype=complex)
     z3 = np.zeros((3, 3), dtype=complex)
     elements = []  # (label, lam, q, m, lam*, q*, m*)
@@ -182,6 +197,8 @@ def sm_algebra(n_gen: int) -> FiniteAlgebra:
             _blockdiag(represent(np.conj(lam), q.conj().T, m.conj().T, n_gen))
         )
         labels.append(label)
+    for m in basis + involution:
+        m.flags.writeable = False
     return FiniteAlgebra(basis, involution, labels)
 
 
@@ -448,13 +465,6 @@ def gauge_coupling_matrices(a_y, a_w, a_c, n_gen):
             raise ValueError(f"{name} must be traceless")
     a_r, a_l, a_bar = gauge_field_blocks(a_y, a_w, a_c, n_gen)
     return a_r - a_bar.conj(), a_l - a_bar.conj()
-
-
-def hypercharge_generators(n_gen):
-    """(T_Y^R, T_Y^L) on the 8N slot space."""
-    t_r = _slot_diag([0, -2, 4 / 3, 4 / 3, 4 / 3, -2 / 3, -2 / 3, -2 / 3], n_gen)
-    t_l = _slot_diag([-1, -1, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3], n_gen)
-    return t_r, t_l
 
 
 def higgs_coupling_matrix(model: SMModel, q_phi) -> np.ndarray:

@@ -161,3 +161,11 @@ def test_fluctuated_dirac_keeps_axioms(module_of):
         dirac=fluct, algebra=algebra, sigma=0,
     )
     assert check_axioms(moved).ok
+
+
+def test_closure_sees_products_off_the_basis_support():
+    # sigma_x is zero on the diagonal, where its square, the identity, lives
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert FiniteAlgebra([sx], [sx]).closure_violation() == pytest.approx(1.0)
+    closed = FiniteAlgebra([np.eye(2), sx], [np.eye(2), sx])
+    assert closed.closure_violation() <= 1e-15

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_yukawas
+from istlab.ist import one_form_generators
 from istlab.kspace import (
+    RANK_RTOL,
     AntilinearOperator,
     DegenerateProjectionError,
     KreinForm,
@@ -10,8 +13,10 @@ from istlab.kspace import (
     is_fundamental_symmetry,
     krein_adjoint,
     real_bilinear_project,
+    realspan,
     relate_fundamental_symmetries,
 )
+from istlab.sm import build_sm
 
 
 def random_matrix(rng, n):
@@ -185,3 +190,35 @@ def test_eta_adjoint_identity(rng):
         lhs = hilbert.adjoint(T)
         rhs = eta @ form.adjoint(T) @ eta
         assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def _realify_all(mats):
+    """Reference realification over every coordinate, no zero dropped."""
+    return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+
+
+@pytest.mark.parametrize("case", ["sm-n1", "sm-n3", "dense"])
+def test_realspan_matches_full_svd(case, rng):
+    if case == "dense":
+        mats = [random_matrix(rng, 5) for _ in range(9)]
+        mats.append(mats[0] - 2.5 * mats[3])  # one exact dependency
+    else:
+        model = build_sm(random_yukawas(rng, int(case[-1])))
+        _, mats = one_form_generators(model.triple)
+    A = _realify_all(mats)
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s > s[0] * RANK_RTOL))
+
+    span = realspan(mats)
+    assert span.rank == rank
+    assert span.kernel.shape == (len(mats), len(mats) - rank)
+    assert span.singular_values.shape == s.shape
+    assert np.abs(span.singular_values - s).max() <= 1e-12 * s[0]
+    kept = s[:rank]
+    assert np.abs(span.singular_values[:rank] - kept).max() <= 1e-12 * kept.min()
+    # orthonormal basis of the same span; kernel vectors annihilate the matrices
+    B = _realify_all(span.basis)
+    assert_allclose(B @ B.T, np.eye(rank), atol=1e-12)
+    assert np.abs(A - (A @ B.T) @ B).max() <= 1e-12 * s[0]
+    assert np.abs(span.kernel.T @ A).max() <= 1e-12 * s[0]
+    assert_allclose(span.kernel.T @ span.kernel, np.eye(len(mats) - rank), atol=1e-12)

@@ -37,14 +37,13 @@ def test_two_point_one_forms():
 
 
 def test_sm_form_dimensions(rng):
-    model = build_sm(random_yukawas(rng, 1))
-    forms = ncforms.one_forms(model.triple)
-    junk = ncforms.junk_two_forms(model.triple)
-    qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
-    assert forms.real_dim == 8
-    assert junk.real_dim == 4
-    assert qs.forms.real_dim == 28
-    assert qs.definite
+    for n in (1, 3):
+        model = build_sm(random_yukawas(rng, n))
+        forms = ncforms.one_forms(model.triple)
+        junk = ncforms.junk_two_forms(model.triple)
+        qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
+        assert (forms.real_dim, junk.real_dim, qs.forms.real_dim) == (8, 4, 28)
+        assert qs.definite
 
 
 def test_sm_junk_degenerates_with_equal_masses(rng):

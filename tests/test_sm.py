@@ -28,6 +28,7 @@ from istlab.sm import (
     higgs_projection_closed,
     lagrangian_coeffs,
     lagrangian_coeffs_oracle,
+    sm_algebra,
     majorana_pairing,
     quaternion,
     yukawa_traces,
@@ -432,3 +433,16 @@ def test_total_dims_for_positive_conjugation_square(rng):
     west = from_clifford_module(build(Signature(3, 1)), "west")
     total = tensor_ist(west, model.triple)
     assert triple_dims(total) == (4, 6)
+
+
+def test_sm_algebra_is_built_once_and_read_only(rng):
+    assert sm_algebra(2) is sm_algebra(2)
+    algebra = sm_algebra(1)
+    for m in (algebra.basis[0], algebra.involution[-1]):
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    first = build_sm(random_yukawas(rng, 1))
+    second = build_sm(random_yukawas(rng, 1))
+    assert first.triple.algebra is second.triple.algebra is algebra
+    assert check_axioms(first.triple).ok
+    assert check_axioms(second.triple).ok
