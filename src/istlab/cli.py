@@ -17,6 +17,7 @@ from . import serialize, sm, specact, verify
 from .clifford import Signature, build, extract_signs, verify_relations
 from .dims import EVEN_RESIDUES, cardinal_table, dims_from_signs, sign_a, spacetime_pairs
 from .ist import check_axioms, first_order, order_zero, triple_dims
+from .kspace import AXIOM_TOL
 from .tensor import tensor_modules
 
 
@@ -85,7 +86,7 @@ def _module_summary(module, fmt: str):
 def _cmd_clifford(args) -> int:
     module = build(Signature(args.q, args.p))
     violation = verify_relations(module)
-    if violation > 1e-10:
+    if violation > AXIOM_TOL:
         print(f"Clifford relations violated: {violation}", file=sys.stderr)
         return 2
     if args.dump:
@@ -100,7 +101,7 @@ def _cmd_tensor(args) -> int:
     q2, p2 = args.right
     product = tensor_modules(build(Signature(q1, p1)), build(Signature(q2, p2)))
     violation = verify_relations(product)
-    if violation > 1e-10:
+    if violation > AXIOM_TOL:
         print(f"tensor relations violated: {violation}", file=sys.stderr)
         return 2
     _module_summary(product, args.format)
@@ -128,7 +129,7 @@ def _cmd_sm(args) -> int:
         print(f"model fails axioms: {report.failures()}", file=sys.stderr)
         return 2
     oz, fo = order_zero(model.triple), first_order(model.triple)
-    if max(oz, fo) > 1e-10:
+    if max(oz, fo) > AXIOM_TOL:
         print(f"order conditions violated: {oz}, {fo}", file=sys.stderr)
         return 2
     if args.higgs_projection:

@@ -20,6 +20,8 @@ import numpy as np
 
 from .dims import SignQuadruple, sign_a
 from .kspace import (
+    RANK_RTOL,
+    UNIT_TOL,
     AntilinearOperator,
     KreinForm,
     antilinear_adjoint,
@@ -301,27 +303,30 @@ def convention_pairing(module: CliffordModule, convention: str):
     return form, cc
 
 
+def measure_signs(form: KreinForm, cc: AntilinearOperator, chi) -> SignQuadruple:
+    """Measure (eps, eps2, kap, kap2) of a charge conjugation, grading and form."""
+    eps = snap_sign(scalar_coefficient(cc.square(), np.eye(form.dim)))
+    eps2 = cc.parity_sign(chi)
+    kap = snap_sign(scalar_coefficient(antilinear_adjoint(cc, form).mat, cc.mat))
+    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=form.adjoint_sign(chi) * eps2)
+
+
 def extract_signs(module: CliffordModule, convention: str) -> SignQuadruple:
     """Measure (eps, eps2, kap, kap2) in the given cardinal convention."""
-    form, cc = convention_pairing(module, convention)
-    n = module.dim
-    eps = snap_sign(scalar_coefficient(cc.square(), np.eye(n)))
-    eps2 = cc.parity_sign(module.chi)
-    kap = snap_sign(scalar_coefficient(antilinear_adjoint(cc, form).mat, cc.mat))
-    sigma_sign = snap_sign(scalar_coefficient(form.adjoint(module.chi), module.chi))
-    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=sigma_sign * eps2)
+    return measure_signs(*convention_pairing(module, convention), module.chi)
 
 
-def _real_nullspace(A, rtol=1e-9):
+def _nullspace(A) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of A, rank cut at s[0] * RANK_RTOL."""
     # economy SVD keeps every right-singular vector when A is tall
     full = A.shape[0] < A.shape[1]
     _, s, vt = np.linalg.svd(A, full_matrices=full)
-    cutoff = (s[0] * rtol) if s.size else 0.0
+    cutoff = (s[0] * RANK_RTOL) if s.size else 0.0
     rank = int(np.sum(s > cutoff))
     return vt[rank:].conj().T
 
 
-def robinson_solution_space(module: CliffordModule, rtol=1e-9) -> list:
+def robinson_solution_space(module: CliffordModule) -> list:
     """Basis of hermitian grams F with every generator F-self-adjoint.
 
     Solves {gamma^a dag F = F gamma^a, F = F^dag} as a real-linear system;
@@ -342,7 +347,7 @@ def robinson_solution_space(module: CliffordModule, rtol=1e-9) -> list:
             Pt[i * n + j, j * n + i] = 1.0
     eye = np.eye(n * n)
     blocks.append(np.block([[eye - Pt, np.zeros_like(Pt)], [np.zeros_like(Pt), eye + Pt]]))
-    null = _real_nullspace(np.vstack(blocks), rtol)
+    null = _nullspace(np.vstack(blocks))
     out = []
     for k in range(null.shape[1]):
         vec = null[:, k]
@@ -351,7 +356,7 @@ def robinson_solution_space(module: CliffordModule, rtol=1e-9) -> list:
     return out
 
 
-def cc_solution_space(module: CliffordModule, rtol=1e-9) -> list:
+def cc_solution_space(module: CliffordModule) -> list:
     """Complex basis of matrices C with C o CC commuting with all generators.
 
     The complex dimension must be 1; the normalized representative
@@ -362,14 +367,10 @@ def cc_solution_space(module: CliffordModule, rtol=1e-9) -> list:
     for ga in module.gammas:
         # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M
         rows.append(np.kron(np.eye(n), ga.conj().T) - np.kron(ga, np.eye(n)))
-    A = np.vstack(rows)
-    full = A.shape[0] < A.shape[1]
-    _, s, vt = np.linalg.svd(A, full_matrices=full)
-    cutoff = s[0] * rtol if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
+    null = _nullspace(np.vstack(rows))
     basis = []
-    for k in range(rank, vt.shape[0]):
-        M = vt[k].conj().reshape(n, n)
+    for k in range(null.shape[1]):
+        M = null[:, k].reshape(n, n)
         sq = M @ np.conj(M)
         c = scalar_coefficient(sq, np.eye(n))
         basis.append(M / np.sqrt(abs(c)))
@@ -384,7 +385,7 @@ def pin_norms(module: CliffordModule, vectors) -> tuple[int, int]:
     for v in vectors:
         v = np.asarray(v, dtype=float)
         norm = float(v @ g @ v)
-        if abs(abs(norm) - 1.0) > 1e-9:
+        if abs(abs(norm) - 1.0) > UNIT_TOL:
             raise ValueError("vectors must satisfy g(v, v) = +-1")
         omega = omega @ module.gamma(v)
     x = module.gram_robinson.adjoint(omega) @ omega

@@ -12,20 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import CliffordModule, convention_pairing
-from .dims import dims_from_signs, SignQuadruple
+from .clifford import CliffordModule, convention_pairing, measure_signs
+from .dims import dims_from_signs
 from .kspace import (
+    AXIOM_TOL,
+    COMM_VANISH,
+    MEMBER_TOL,
     AntilinearOperator,
     KreinForm,
     antilinear_adjoint,
     as_matrix,
     frob,
+    in_span,
     realspan,
-    scalar_coefficient,
-    snap_sign,
 )
-
-AXIOM_TOL = 1e-10
 
 
 @dataclass
@@ -112,11 +112,10 @@ class AxiomReport:
     """Per-axiom worst violations of an indefinite triple."""
 
     violations: dict = field(default_factory=dict)
-    tol: float = AXIOM_TOL
 
     @property
     def ok(self) -> bool:
-        return all(v <= self.tol for v in self.violations.values())
+        return all(v <= AXIOM_TOL for v in self.violations.values())
 
     def __bool__(self):
         return self.ok
@@ -126,15 +125,15 @@ class AxiomReport:
         return max(self.violations.values(), default=0.0)
 
     def failures(self) -> dict:
-        return {k: v for k, v in self.violations.items() if v > self.tol}
+        return {k: v for k, v in self.violations.items() if v > AXIOM_TOL}
 
 
 def _maxabs(M) -> float:
     return float(np.abs(M).max()) if np.asarray(M).size else 0.0
 
 
-def check_axioms(triple: IndefiniteTriple, tol: float = AXIOM_TOL) -> AxiomReport:
-    """Evaluate every triple axiom; pass iff all violations <= tol."""
+def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
+    """Evaluate every triple axiom; pass iff all violations <= AXIOM_TOL."""
     n = triple.dim
     chi = triple.chi
     D = triple.dirac
@@ -172,25 +171,7 @@ def check_axioms(triple: IndefiniteTriple, tol: float = AXIOM_TOL) -> AxiomRepor
     )
     v["algebra_closed"] = triple.algebra.closure_violation()
 
-    report = AxiomReport(v, tol)
-    report.eps = eps
-    report.eps2 = eps2
-    report.kap = kap
-    return report
-
-
-def triple_signs(triple: IndefiniteTriple) -> SignQuadruple:
-    """Measure (eps, eps2, kap, kap2) from the triple's operators."""
-    n = triple.dim
-    eps = snap_sign(scalar_coefficient(triple.cc.square(), np.eye(n)))
-    eps2 = triple.cc.parity_sign(triple.chi)
-    kap = snap_sign(
-        scalar_coefficient(antilinear_adjoint(triple.cc, triple.form).mat, triple.cc.mat)
-    )
-    sigma_sign = snap_sign(
-        scalar_coefficient(triple.form.adjoint(triple.chi), triple.chi)
-    )
-    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=sigma_sign * eps2)
+    return AxiomReport(v)
 
 
 def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
@@ -198,7 +179,7 @@ def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
     report = check_axioms(triple)
     if not report.ok:
         raise ValueError(f"triple fails axioms: {report.failures()}")
-    return dims_from_signs(triple_signs(triple))
+    return dims_from_signs(measure_signs(triple.form, triple.cc, triple.chi))
 
 
 def opposite(triple: IndefiniteTriple, X) -> np.ndarray:
@@ -242,7 +223,7 @@ def one_form_generators(triple: IndefiniteTriple) -> tuple:
     comms = []
     for j, b in enumerate(triple.algebra.basis):
         c = D @ b - b @ D
-        if _maxabs(c) > 1e-13 * scale:
+        if _maxabs(c) > COMM_VANISH * scale:
             comms.append((j, c))
     pairs = [a @ c for a in triple.algebra.basis for _, c in comms]
     return comms, pairs
@@ -252,24 +233,20 @@ def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:
     """U = pi(u) J pi(u) J^-1 for a Krein-unitary algebra element u."""
     u = triple.algebra.element(coeffs)
     n = triple.dim
-    if _maxabs(triple.form.adjoint(u) @ u - np.eye(n)) > 1e-8:
+    if _maxabs(triple.form.adjoint(u) @ u - np.eye(n)) > MEMBER_TOL:
         raise ValueError("algebra element is not Krein-unitary")
     M = triple.cc.mat
     return u @ M @ np.conj(u) @ np.linalg.inv(M)
 
 
-def fluctuate(triple: IndefiniteTriple, omega, membership_tol=1e-8) -> np.ndarray:
+def fluctuate(triple: IndefiniteTriple, omega) -> np.ndarray:
     """Fluctuated Dirac D + omega + J omega J^-1 for a self-adjoint one-form."""
     omega = as_matrix(omega)
-    if _maxabs(triple.form.adjoint(omega) - omega) > membership_tol:
+    if _maxabs(triple.form.adjoint(omega) - omega) > MEMBER_TOL:
         raise ValueError("one-form is not self-adjoint")
     _, pairs = one_form_generators(triple)
-    if pairs:
-        norms, dists = realspan(pairs, _lstsq_rtol(pairs)).residuals([omega])
-        norm, resid = float(norms[0]), float(dists[0])
-    else:
-        norm = resid = float(np.linalg.norm(omega))
-    if resid / max(1.0, norm) > membership_tol:
+    span = realspan(pairs, _lstsq_rtol(pairs)) if pairs else None
+    if not in_span(span, omega):
         raise ValueError("operator is outside the one-form span")
     M = triple.cc.mat
     return triple.dirac + omega + M @ np.conj(omega) @ np.linalg.inv(M)
@@ -306,8 +283,7 @@ def from_clifford_module(
         dirac = _default_dirac(module, convention)
     if algebra is None:
         algebra = scalar_algebra(module.dim)
-    sigma_sign = snap_sign(scalar_coefficient(form.adjoint(module.chi), module.chi))
-    sigma = 0 if sigma_sign == 1 else 1
+    sigma = 0 if form.adjoint_sign(module.chi) == 1 else 1
     return IndefiniteTriple(
         form=form,
         chi=module.chi,

@@ -7,6 +7,12 @@ adjoint matrix H^-1 M^T conj(H).  Fundamental symmetries are Krein
 self-adjoint involutions eta with (., eta .) positive definite.
 Real spans of lists of complex matrices, and the kernels of their
 coefficient maps, come from one realified SVD (``realspan``).
+
+Every tolerance the library applies is one of the constants at the top
+of this module; each makes one kind of decision, and two checks share a
+name only when they make the same decision.  The acceptance criteria in
+``verify`` keep their own thresholds, which are part of their
+definitions.
 """
 
 from __future__ import annotations
@@ -15,10 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ATOL = 1e-12   # absolute zero tests
-RTOL = 1e-10   # relative matrix equality, Frobenius scale
-COND_MAX = 1e8  # refuse grams conditioned worse than this
-RANK_RTOL = 1e-9  # numerical rank counts singular values above s[0] * RANK_RTOL
+ATOL = 1e-12         # roundoff-level input checks: Y_R symmetry, hermitian traceless gauge values
+RTOL = 1e-10         # relative matrix equality: hermitian grams, proportionality, operator parity
+AXIOM_TOL = 1e-10    # largest violation of a triple axiom, Clifford relation or order condition
+RANK_RTOL = 1e-9     # numerical rank counts singular values above s[0] * RANK_RTOL
+COND_MAX = 1e8       # refuse grams conditioned worse than this
+SIGN_TOL = 1e-8      # a measured scalar this close to +-1 snaps to that sign
+MEMBER_TOL = 1e-8    # accepted span residual / max(1, norm), and self-adjointness/unitarity defect
+UNIT_TOL = 1e-9      # pin_norms accepts vectors with |g(v, v)| this close to 1
+CS_SLACK = 1e-9      # relative slack of the Cauchy-Schwarz bound C1^2 <= 4N(C2 + 2C3)
+COMM_VANISH = 1e-13  # a commutator [D, pi(b)] below this times max(1, max|D|) is dropped
+JUNK_VANISH = 1e-11  # a junk image below this times max|[D, pi(a)]|^2 is dropped
 
 
 class DegenerateProjectionError(ValueError):
@@ -87,6 +100,20 @@ class RealSpan:
         return np.linalg.norm(V, axis=1), np.linalg.norm(resid, axis=1)
 
 
+def in_span(span, X) -> bool:
+    """Whether X lies in a ``RealSpan`` (None is the zero span).
+
+    X is a member when its residual off the span is at most MEMBER_TOL
+    times max(1, ||X||), both in the Frobenius norm.
+    """
+    if span is None:
+        norm = resid = frob(as_matrix(X))
+    else:
+        norms, dists = span.residuals([X])
+        norm, resid = float(norms[0]), float(dists[0])
+    return resid / max(1.0, norm) <= MEMBER_TOL
+
+
 def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
     """Span basis and coefficient kernel of matrices from one real SVD.
 
@@ -147,12 +174,12 @@ def scalar_coefficient(A, B, tol=RTOL) -> complex:
     return complex(c)
 
 
-def snap_sign(c, tol=1e-8) -> int:
+def snap_sign(c) -> int:
     """Round a scalar known to be +-1 onto the exact sign."""
     c = complex(c)
-    if abs(c - 1) <= tol:
+    if abs(c - 1) <= SIGN_TOL:
         return 1
-    if abs(c + 1) <= tol:
+    if abs(c + 1) <= SIGN_TOL:
         return -1
     raise ValueError(f"scalar {c} is not a sign")
 
@@ -187,9 +214,9 @@ class KreinForm:
             raise ValueError("operator dimension does not match the form")
         return np.linalg.solve(self.gram, T.conj().T @ self.gram)
 
-
-def krein_adjoint(T, form: KreinForm) -> np.ndarray:
-    return form.adjoint(T)
+    def adjoint_sign(self, X) -> int:
+        """Sign s with X^x = s X, or raise if X is neither symmetric nor antisymmetric."""
+        return snap_sign(scalar_coefficient(self.adjoint(X), X))
 
 
 @dataclass
@@ -212,11 +239,11 @@ class AntilinearOperator:
         """The linear operator K X K^-1 for linear X."""
         return self.mat @ np.conj(X) @ np.linalg.inv(self.mat)
 
-    def parity_sign(self, chi, tol=RTOL) -> int:
+    def parity_sign(self, chi) -> int:
         """Sign s with K chi = s chi K, or raise for inhomogeneous K."""
         lhs = self.mat @ np.conj(chi)
         rhs = np.asarray(chi) @ self.mat
-        return snap_sign(scalar_coefficient(lhs, rhs, tol))
+        return snap_sign(scalar_coefficient(lhs, rhs))
 
 
 def antilinear_adjoint(K: AntilinearOperator, form: KreinForm) -> AntilinearOperator:
@@ -240,7 +267,7 @@ class SymmetryReport:
         return self.ok
 
 
-def is_fundamental_symmetry(eta, form: KreinForm, tol=RTOL) -> SymmetryReport:
+def is_fundamental_symmetry(eta, form: KreinForm) -> SymmetryReport:
     """Check eta^2 = 1, eta^x = eta, and positivity of (., eta .)."""
     eta = as_matrix(eta)
     if eta.shape != form.gram.shape:
@@ -253,9 +280,9 @@ def is_fundamental_symmetry(eta, form: KreinForm, tol=RTOL) -> SymmetryReport:
     eigs = np.linalg.eigvalsh(P)
     v_pos = float(-eigs.min())
     violations = {"involution": v_inv, "self_adjoint": v_adj, "positivity": v_pos}
-    if v_inv > tol:
+    if v_inv > RTOL:
         return SymmetryReport(False, "not an involution", violations)
-    if v_adj > tol:
+    if v_adj > RTOL:
         return SymmetryReport(False, "not Krein self-adjoint", violations)
     if eigs.min() <= 0:
         return SymmetryReport(False, "form (., eta .) not positive definite", violations)

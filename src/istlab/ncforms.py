@@ -16,9 +16,11 @@ import numpy as np
 from .ist import IndefiniteTriple, check_axioms, one_form_generators
 from .kspace import (
     COND_MAX,
-    RANK_RTOL,
+    JUNK_VANISH,
     DegenerateProjectionError,
+    RealSpan,
     as_matrix,
+    in_span,
     real_bilinear_project,
     realspan,
 )
@@ -33,23 +35,17 @@ class FormSpace:
     singular_values: np.ndarray = field(repr=False, default=None)
     threshold: float = 0.0
     gap: float = 0.0  # first discarded over last kept singular value, 0 if none
+    real_span: RealSpan = field(repr=False, default=None)  # None for the zero span
 
     @classmethod
-    def from_matrices(cls, mats, rtol=RANK_RTOL):
+    def from_matrices(cls, mats):
         if not len(mats):
             return cls([], 0, np.array([]), 0.0)
-        sp = realspan(mats, rtol)
-        return cls(list(sp.basis), sp.rank, sp.singular_values, sp.cutoff, sp.gap)
+        sp = realspan(mats)
+        return cls(list(sp.basis), sp.rank, sp.singular_values, sp.cutoff, sp.gap, sp)
 
-    def contains(self, X, tol=1e-8) -> bool:
-        X = as_matrix(X)
-        v = np.concatenate([X.real.ravel(), X.imag.ravel()])
-        scale = max(1.0, float(np.linalg.norm(v)))
-        resid = v.copy()
-        for b in self.span:
-            w = np.concatenate([b.real.ravel(), b.imag.ravel()])
-            resid -= (resid @ w) / (w @ w) * w
-        return float(np.linalg.norm(resid)) / scale <= tol
+    def contains(self, X) -> bool:
+        return in_span(self.real_span, X)
 
 
 def _checked(triple: IndefiniteTriple):
@@ -58,23 +54,23 @@ def _checked(triple: IndefiniteTriple):
         raise ValueError(f"triple fails axioms: {rep.failures()}")
 
 
-def one_forms(triple: IndefiniteTriple, rtol=RANK_RTOL) -> FormSpace:
+def one_forms(triple: IndefiniteTriple) -> FormSpace:
     """Real span of pi(a_i) [D, pi(b_j)] over all basis pairs."""
     _checked(triple)
     _, pairs = one_form_generators(triple)
-    return FormSpace.from_matrices(pairs, rtol)
+    return FormSpace.from_matrices(pairs)
 
 
-def junk_two_forms(triple: IndefiniteTriple, rtol=RANK_RTOL) -> FormSpace:
+def junk_two_forms(triple: IndefiniteTriple) -> FormSpace:
     """Image of ker[(a,b) -> pi(a)[D,pi(b)]] under (a,b) -> [D,pi(a)][D,pi(b)]."""
     _checked(triple)
     indexed, pairs = one_form_generators(triple)
     if not indexed:
-        return FormSpace.from_matrices([], rtol)
-    kernel = realspan(pairs, rtol).kernel  # real coefficient vectors c_(i,j)
+        return FormSpace.from_matrices([])
+    kernel = realspan(pairs).kernel  # real coefficient vectors c_(i,j)
     nk = kernel.shape[1]
     if nk == 0:
-        return FormSpace.from_matrices([], rtol)
+        return FormSpace.from_matrices([])
 
     # sum_ij c_ij [D, pi(a_i)] [D, pi(b_j)]; only nonzero [D, pi(a_i)] matter,
     # so every image is one combination of the k^2 commutator products
@@ -86,8 +82,8 @@ def junk_two_forms(triple: IndefiniteTriple, rtol=RANK_RTOL) -> FormSpace:
     images = (coeff.reshape(nk, k * k) @ prods).reshape(nk, n, n)
     # discard images that vanish at the scale of the commutator products
     scale = float(np.abs(dcomm).max()) ** 2
-    kept = [im for im in images if float(np.abs(im).max()) > 1e-11 * scale]
-    return FormSpace.from_matrices(kept, rtol)
+    kept = [im for im in images if float(np.abs(im).max()) > JUNK_VANISH * scale]
+    return FormSpace.from_matrices(kept)
 
 
 @dataclass
@@ -100,13 +96,11 @@ class QSpace:
     gram_cond: float
 
 
-def q_space(
-    triple: IndefiniteTriple, varpi=None, rtol=RANK_RTOL, junk: FormSpace = None
-) -> QSpace:
+def q_space(triple: IndefiniteTriple, varpi=None, junk: FormSpace = None) -> QSpace:
     """Algebra image plus junk, with the projection product's Gram report."""
     if junk is None:
-        junk = junk_two_forms(triple, rtol)
-    space = FormSpace.from_matrices(list(triple.algebra.basis) + junk.span, rtol)
+        junk = junk_two_forms(triple)
+    space = FormSpace.from_matrices(list(triple.algebra.basis) + junk.span)
     n = triple.dim
     W = np.eye(n) if varpi is None else as_matrix(varpi)
     if space.span:

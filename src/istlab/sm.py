@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ist import FiniteAlgebra, IndefiniteTriple
-from .kspace import AntilinearOperator, KreinForm, as_matrix
+from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, as_matrix
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
@@ -269,7 +269,7 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
     """
     if s not in (-1, 1) or eps_f not in (-1, 1):
         raise ValueError("s and eps_F must be +1 or -1")
-    if float(np.abs(y.yr.T - s * eps_f * y.yr).max()) > 1e-12 * max(
+    if float(np.abs(y.yr.T - s * eps_f * y.yr).max()) > ATOL * max(
         1.0, float(np.abs(y.yr).max())
     ):
         raise ValueError("Y_R must satisfy Y_R^T = s*eps_F*Y_R")
@@ -341,7 +341,7 @@ def yukawa_traces(y: YukawaSet):
     c2 = float(np.trace(mnu @ mnu + me @ me + 3 * mu @ mu + 3 * md @ md).real)
     c3 = float(np.trace(mnu @ me + 3 * mu @ md).real)
     n = y.n_gen
-    ok = c1 ** 2 <= 4 * n * (c2 + 2 * c3) + 1e-9 * max(1.0, c1 ** 2)
+    ok = c1 ** 2 <= 4 * n * (c2 + 2 * c3) + CS_SLACK * max(1.0, c1 ** 2)
     return c1, c2, c3, ok
 
 
@@ -459,9 +459,9 @@ def gauge_coupling_matrices(a_y, a_w, a_c, n_gen):
     a_w = as_matrix(a_w)
     a_c = as_matrix(a_c)
     for name, m in (("a_w", a_w), ("a_c", a_c)):
-        if float(np.abs(m - m.conj().T).max()) > 1e-12:
+        if float(np.abs(m - m.conj().T).max()) > ATOL:
             raise ValueError(f"{name} must be hermitian")
-        if abs(np.trace(m)) > 1e-12:
+        if abs(np.trace(m)) > ATOL:
             raise ValueError(f"{name} must be traceless")
     a_r, a_l, a_bar = gauge_field_blocks(a_y, a_w, a_c, n_gen)
     return a_r - a_bar.conj(), a_l - a_bar.conj()
@@ -519,8 +519,7 @@ def lagrangian_coeffs_oracle(
 
     # gauge sector: F = -i * blockdiag of the field values
     def f_square_trace(a_y, a_w, a_c):
-        a_r, a_l, a_bar = gauge_field_blocks(a_y, a_w, a_c, n)
-        F = -1j * _blockdiag([a_r, a_l, a_bar, a_bar])
+        F = gauge_field(a_y, a_w, a_c, n)
         return float(np.trace(Z @ F @ F).real)
 
     a = -2.0 * f_square_trace(1.0, zero2, zero3)
@@ -530,10 +529,7 @@ def lagrangian_coeffs_oracle(
     c = -2.0 * f_square_trace(0.0, zero2, g0) / float(np.trace(g0 @ g0).real)
 
     # Higgs kinetic sector with unit covariant derivative value
-    Y = yukawa_block(y)
-    qt = _lift_left(np.eye(2), n)
-    k = Y.shape[0]
-    dh = _four_blocks(-Y.conj().T @ qt.conj().T, qt @ Y, None, None, None, None, k)
+    dh = higgs_one_form(model, np.eye(2))
     d = -4.0 * float(np.trace(Z @ dh @ dh).real)
 
     # Higgs potential via the generic projection of the curvature scalar

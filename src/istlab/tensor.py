@@ -14,24 +14,24 @@ import numpy as np
 from .clifford import CliffordModule, Signature, _assemble
 from .ist import FiniteAlgebra, IndefiniteTriple, check_axioms
 from .kspace import (
+    RTOL,
+    AntilinearOperator,
     KreinForm,
     as_matrix,
     is_fundamental_symmetry,
-    scalar_coefficient,
-    snap_sign,
 )
 
 
-def operator_parity(X, chi, tol=1e-10) -> int:
+def operator_parity(X, chi) -> int:
     """0 for chi-commuting, 1 for anticommuting; mixed parity is rejected."""
     X = as_matrix(X)
     chi = as_matrix(chi)
     comm = float(np.abs(X @ chi - chi @ X).max())
     anti = float(np.abs(X @ chi + chi @ X).max())
     scale = max(1.0, float(np.abs(X).max()))
-    if comm <= tol * scale:
+    if comm <= RTOL * scale:
         return 0
-    if anti <= tol * scale:
+    if anti <= RTOL * scale:
         return 1
     raise ValueError("operator has mixed parity")
 
@@ -74,6 +74,16 @@ def tensor_modules(m1: CliffordModule, m2: CliffordModule) -> CliffordModule:
     return _assemble(sig, gammas, chi, gram, jplus)
 
 
+def _product_form(t1: IndefiniteTriple, t2: IndefiniteTriple) -> KreinForm:
+    """The pairing (., .)_1 x (., beta .)_2 of two triples that pass their axioms."""
+    for name, t in (("first", t1), ("second", t2)):
+        rep = check_axioms(t)
+        if not rep.ok:
+            raise ValueError(f"{name} factor fails axioms: {rep.failures()}")
+    beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
+    return KreinForm(np.kron(t1.form.gram, t2.form.gram @ beta))
+
+
 def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
     """Tensor product of triples in non-graded form.
 
@@ -82,14 +92,8 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
     product algebra represented factorwise.  KO and metric dimensions add
     mod 8.
     """
-    for name, t in (("first", t1), ("second", t2)):
-        rep = check_axioms(t)
-        if not rep.ok:
-            raise ValueError(f"{name} factor fails axioms: {rep.failures()}")
-
-    n1, n2 = t1.dim, t2.dim
-    beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
-    gram = np.kron(t1.form.gram, t2.form.gram @ beta)
+    form = _product_form(t1, t2)
+    n2 = t2.dim
     chi = np.kron(t1.chi, t2.chi)
     dirac = np.kron(t1.dirac, np.eye(n2)) + np.kron(t1.chi, t2.dirac)
 
@@ -107,10 +111,8 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
         f"{la}*{lb}" for la in t1.algebra.labels for lb in t2.algebra.labels
     ]
 
-    from .kspace import AntilinearOperator
-
     return IndefiniteTriple(
-        form=KreinForm(gram),
+        form=form,
         chi=chi,
         cc=AntilinearOperator(cc),
         dirac=dirac,
@@ -124,9 +126,7 @@ def _privileged_check(eta, t: IndefiniteTriple, name: str):
     if not rep:
         raise ValueError(f"{name} is not a fundamental symmetry: {rep.reason}")
     operator_parity(eta, t.chi)  # homogeneity
-    lhs = t.cc.mat @ np.conj(eta)
-    rhs = np.asarray(eta) @ t.cc.mat
-    snap_sign(scalar_coefficient(lhs, rhs))  # commutes or anticommutes with J
+    t.cc.parity_sign(eta)  # commutes or anticommutes with J
 
 
 def tensor_eta(eta1, eta2, t1: IndefiniteTriple, t2: IndefiniteTriple) -> np.ndarray:
@@ -137,8 +137,7 @@ def tensor_eta(eta1, eta2, t1: IndefiniteTriple, t2: IndefiniteTriple) -> np.nda
     _privileged_check(eta2, t2, "eta2")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
     eta = np.kron(eta1, np.linalg.solve(beta, eta2))
-    product = tensor_ist(t1, t2)
-    rep = is_fundamental_symmetry(eta, product.form)
+    rep = is_fundamental_symmetry(eta, _product_form(t1, t2))
     if not rep:
         raise ValueError(f"tensored symmetry fails: {rep.reason}")
     return eta

@@ -1,43 +1,15 @@
 import numpy as np
 import pytest
 
-from istlab.clifford import Signature, build
-from istlab.sm import YukawaSet
-
-
-_modules = {}
+from istlab.verify import cached_module, random_yukawas, supported_signatures  # noqa: F401
 
 
 @pytest.fixture
 def module_of():
     """Cached Clifford module factory (modules are immutable by convention)."""
-
-    def get(q, p):
-        if (q, p) not in _modules:
-            _modules[(q, p)] = build(Signature(q, p))
-        return _modules[(q, p)]
-
-    return get
+    return cached_module
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def random_yukawas(rng, n, s=-1, eps_f=-1):
-    def cm():
-        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-    yr = cm()
-    yr = 0.5 * (yr + s * eps_f * yr.T)
-    return YukawaSet(cm(), cm(), cm(), cm(), yr)
-
-
-def supported_signatures(max_dim=8):
-    return [
-        (q, d - q)
-        for d in range(2, max_dim + 1, 2)
-        for q in range(d + 1)
-        if q % 2 == (d - q) % 2
-    ]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import supported_signatures
+from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
     FiniteAlgebra,
     IndefiniteTriple,
@@ -56,6 +58,14 @@ def test_triple_dims_of_conventions(module_of):
     west = from_clifford_module(module_of(3, 1), "west")
     assert check_axioms(west).ok
     assert triple_dims(west) == (6, 4)
+
+
+def test_triple_signs_match_module_signs(module_of):
+    for q, p in supported_signatures(6):
+        m = module_of(q, p)
+        for conv in ("east", "west", "south", "north"):
+            t = from_clifford_module(m, conv)
+            assert measure_signs(t.form, t.cc, t.chi) == extract_signs(m, conv)
 
 
 def test_triple_dims_invariant_under_krein_unitary(module_of, rng):

@@ -72,6 +72,16 @@ def test_q_space_is_bimodule(rng):
             assert qs.forms.contains(q @ a)
 
 
+def test_q_space_rejects_projected_curvature(rng):
+    model = build_sm(random_yukawas(rng, 1))
+    qs = ncforms.q_space(model.triple, model.varpi)
+    X = higgs_field_strength(model, quaternion(0.4 + 0.2j, -0.1 + 0.9j))
+    resid = ncforms.project_two_form(model.triple, X, model.varpi, qspace=qs)
+    assert np.linalg.norm(resid) > 1e-3
+    assert not qs.forms.contains(resid)
+    assert qs.forms.contains(X - resid)
+
+
 def test_projection_kills_members(rng):
     model = build_sm(random_yukawas(rng, 1))
     junk = ncforms.junk_two_forms(model.triple)

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import supported_signatures
-from istlab.clifford import Signature, build, extract_signs, verify_relations
+from istlab.clifford import Signature, build, extract_signs, measure_signs, verify_relations
 from istlab.dims import mod8, sign_a
-from istlab.ist import check_axioms, from_clifford_module, triple_dims, triple_signs
+from istlab.ist import check_axioms, from_clifford_module, triple_dims
 from istlab.kspace import is_fundamental_symmetry
 from istlab.tensor import beta_twist, operator_parity, tensor_eta, tensor_ist, tensor_modules
 
@@ -127,9 +127,9 @@ def test_tensor_eps_formula(module_of):
         for c2 in ("east", "west"):
             t1 = from_clifford_module(module_of(1, 1), c1)
             t2 = from_clifford_module(module_of(1, 3), c2)
-            s1, s2 = triple_signs(t1), triple_signs(t2)
+            s1, s2 = (measure_signs(t.form, t.cc, t.chi) for t in (t1, t2))
             prod = tensor_ist(t1, t2)
-            got = triple_signs(prod)
+            got = measure_signs(prod.form, prod.cc, prod.chi)
             combined = (
                 0.5 * s1.eps * s2.eps * (1 + s1.eps2 + s2.eps2 - s1.eps2 * s2.eps2)
             )
