@@ -26,6 +26,7 @@ from .kspace import (
     KreinForm,
     antilinear_adjoint,
     as_matrix,
+    realspan,
     scalar_coefficient,
     snap_sign,
 )
@@ -316,64 +317,51 @@ def extract_signs(module: CliffordModule, convention: str) -> SignQuadruple:
     return measure_signs(*convention_pairing(module, convention), module.chi)
 
 
-def _nullspace(A) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of A, rank cut at s[0] * RANK_RTOL."""
-    # economy SVD keeps every right-singular vector when A is tall
-    full = A.shape[0] < A.shape[1]
-    _, s, vt = np.linalg.svd(A, full_matrices=full)
-    cutoff = (s[0] * RANK_RTOL) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].conj().T
+def _hermitian_basis(n: int) -> np.ndarray:
+    """An (n^2, n, n) real basis of the hermitian matrices, orthonormal for Re tr(S^dag T)."""
+    i, j = np.triu_indices(n, 1)
+    k, m, d = np.arange(i.size), i.size, np.arange(n)
+    H = np.zeros((n * n, n, n), dtype=complex)
+    H[d, d, d] = 1.0
+    H[n + k, i, j] = H[n + k, j, i] = np.sqrt(0.5)
+    H[n + m + k, i, j] = 1j * np.sqrt(0.5)
+    H[n + m + k, j, i] = -1j * np.sqrt(0.5)
+    return H
 
 
 def robinson_solution_space(module: CliffordModule) -> list:
     """Basis of hermitian grams F with every generator F-self-adjoint.
 
-    Solves {gamma^a dag F = F gamma^a, F = F^dag} as a real-linear system;
-    the result must be one-dimensional (Robinson uniqueness).
+    F runs over a real orthonormal basis of the hermitian matrices, so the
+    solutions are the kernel of the real-linear map F -> (gamma^a dag F -
+    F gamma^a)_a; the result must be one-dimensional (Robinson uniqueness).
     """
     n = module.dim
-    blocks = []
-    for ga in module.gammas:
-        # gamma^a dag F - F gamma^a = 0, realified in F
-        L = np.kron(ga.conj().T, np.eye(n))
-        R = np.kron(np.eye(n), ga.T)
-        op = L - R
-        blocks.append(np.block([[op.real, -op.imag], [op.imag, op.real]]))
-    # hermiticity F - F^dag = 0: realify the conjugate-transpose map
-    Pt = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            Pt[i * n + j, j * n + i] = 1.0
-    eye = np.eye(n * n)
-    blocks.append(np.block([[eye - Pt, np.zeros_like(Pt)], [np.zeros_like(Pt), eye + Pt]]))
-    null = _nullspace(np.vstack(blocks))
-    out = []
-    for k in range(null.shape[1]):
-        vec = null[:, k]
-        F = vec[: n * n].reshape(n, n) + 1j * vec[n * n:].reshape(n, n)
-        out.append(F)
-    return out
+    H = _hermitian_basis(n)
+    g = np.stack(module.gammas)
+    images = g.conj().transpose(0, 2, 1)[None] @ H[:, None] - H[:, None] @ g[None]
+    kernel = realspan(images.reshape(n * n, len(g) * n, n)).kernel
+    return list(np.tensordot(kernel.T, H, axes=1))
 
 
 def cc_solution_space(module: CliffordModule) -> list:
     """Complex basis of matrices C with C o CC commuting with all generators.
 
-    The complex dimension must be 1; the normalized representative
-    squares (as an antilinear operator) to a(q - p).
+    The complex dimension must be 1; the representative of a line is
+    normalized to square (as an antilinear operator) to a(q - p), and any
+    other space is returned as an orthonormal basis.
     """
     n = module.dim
-    rows = []
-    for ga in module.gammas:
-        # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M
-        rows.append(np.kron(np.eye(n), ga.conj().T) - np.kron(ga, np.eye(n)))
-    null = _nullspace(np.vstack(rows))
-    basis = []
-    for k in range(null.shape[1]):
-        M = null[:, k].reshape(n, n)
-        sq = M @ np.conj(M)
-        c = scalar_coefficient(sq, np.eye(n))
-        basis.append(M / np.sqrt(abs(c)))
+    # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M; the d n^2 x n^2
+    # system is tall, so the economy SVD keeps every right-singular vector
+    eye = np.eye(n)
+    A = np.vstack([np.kron(eye, ga.conj().T) - np.kron(ga, eye) for ga in module.gammas])
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > s[0] * RANK_RTOL))
+    basis = [v.conj().reshape(n, n) for v in vt[rank:]]
+    if len(basis) == 1:
+        M = basis[0]
+        basis = [M / np.sqrt(abs(scalar_coefficient(M @ np.conj(M), eye)))]
     return basis
 
 

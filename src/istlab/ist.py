@@ -132,6 +132,12 @@ def _maxabs(M) -> float:
     return float(np.abs(M).max()) if np.asarray(M).size else 0.0
 
 
+def _sign_defect(A, B) -> float:
+    """max |A - s B| for the sign s = +-1 that brings A nearer to s B."""
+    s = 1 if frob(A - B) <= frob(A + B) else -1
+    return _maxabs(A - s * B)
+
+
 def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
     """Evaluate every triple axiom; pass iff all violations <= AXIOM_TOL."""
     n = triple.dim
@@ -147,16 +153,9 @@ def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
     v["dirac_symmetric"] = _maxabs(form.adjoint(D) - D)
     v["dirac_odd"] = _maxabs(chi @ D @ chi + D)
 
-    sq = triple.cc.square()
-    eps = 1 if frob(sq - eye) <= frob(sq + eye) else -1
-    v["cc_square"] = _maxabs(sq - eps * eye)
-    adj = antilinear_adjoint(triple.cc, form).mat
-    kap = 1 if frob(adj - M) <= frob(adj + M) else -1
-    v["cc_adjoint"] = _maxabs(adj - kap * M)
-    left = M @ np.conj(chi)
-    right = chi @ M
-    eps2 = 1 if frob(left - right) <= frob(left + right) else -1
-    v["cc_homogeneous"] = _maxabs(left - eps2 * right)
+    v["cc_square"] = _sign_defect(triple.cc.square(), eye)
+    v["cc_adjoint"] = _sign_defect(antilinear_adjoint(triple.cc, form).mat, M)
+    v["cc_homogeneous"] = _sign_defect(M @ np.conj(chi), chi @ M)
     v["cc_dirac_commute"] = _maxabs(M @ np.conj(D) - D @ M)
 
     v["rep_even"] = max(
@@ -184,49 +183,44 @@ def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
 
 def opposite(triple: IndefiniteTriple, X) -> np.ndarray:
     """The opposite operator X -> J X^x J^-1 (a linear antiautomorphism)."""
-    M = triple.cc.mat
-    return M @ np.conj(triple.form.adjoint(X)) @ np.linalg.inv(M)
+    return triple.cc.conjugate(triple.form.adjoint(X))
+
+
+def _worst_opposite_commutator(triple: IndefiniteTriple, ops) -> float:
+    """max ||[x, pi(b)^o]|| over x in ops and algebra basis elements b."""
+    opp = [opposite(triple, b) for b in triple.algebra.basis]
+    return max((_maxabs(x @ bo - bo @ x) for x in ops for bo in opp), default=0.0)
 
 
 def order_zero(triple: IndefiniteTriple) -> float:
     """max ||[pi(a), pi(b)^o]|| over algebra basis pairs."""
-    opp = [opposite(triple, b) for b in triple.algebra.basis]
-    worst = 0.0
-    for a in triple.algebra.basis:
-        for bo in opp:
-            worst = max(worst, _maxabs(a @ bo - bo @ a))
-    return worst
+    return _worst_opposite_commutator(triple, triple.algebra.basis)
 
 
 def first_order(triple: IndefiniteTriple) -> float:
     """max ||[[D, pi(a)], pi(b)^o]|| over algebra basis pairs."""
     D = triple.dirac
-    opp = [opposite(triple, b) for b in triple.algebra.basis]
-    worst = 0.0
-    for a in triple.algebra.basis:
-        da = D @ a - a @ D
-        for bo in opp:
-            worst = max(worst, _maxabs(da @ bo - bo @ da))
-    return worst
+    return _worst_opposite_commutator(triple, [D @ a - a @ D for a in triple.algebra.basis])
 
 
 def one_form_generators(triple: IndefiniteTriple) -> tuple:
     """The nonvanishing [D, pi(b_j)] and the one-forms they generate.
 
     Returns (commutators, pairs): the commutators as (j, [D, pi(b_j)])
-    and the matrices pi(a_i) [D, pi(b_j)] over every basis a_i and every
-    such commutator, i-major.  Pairs whose commutator vanishes are
-    dropped; the real span is unchanged.
+    and the (m, n, n) stack of pi(a_i) [D, pi(b_j)] over every basis a_i
+    and every such commutator, i-major.  Pairs whose commutator vanishes
+    are dropped; the real span is unchanged.
     """
     D = triple.dirac
+    n = triple.dim
     scale = max(1.0, _maxabs(D))
     comms = []
     for j, b in enumerate(triple.algebra.basis):
         c = D @ b - b @ D
         if _maxabs(c) > COMM_VANISH * scale:
             comms.append((j, c))
-    pairs = [a @ c for a in triple.algebra.basis for _, c in comms]
-    return comms, pairs
+    pairs = np.array([a @ c for a in triple.algebra.basis for _, c in comms])
+    return comms, pairs.reshape(len(pairs), n, n)
 
 
 def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:
@@ -235,8 +229,7 @@ def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:
     n = triple.dim
     if _maxabs(triple.form.adjoint(u) @ u - np.eye(n)) > MEMBER_TOL:
         raise ValueError("algebra element is not Krein-unitary")
-    M = triple.cc.mat
-    return u @ M @ np.conj(u) @ np.linalg.inv(M)
+    return u @ triple.cc.conjugate(u)
 
 
 def fluctuate(triple: IndefiniteTriple, omega) -> np.ndarray:
@@ -245,11 +238,9 @@ def fluctuate(triple: IndefiniteTriple, omega) -> np.ndarray:
     if _maxabs(triple.form.adjoint(omega) - omega) > MEMBER_TOL:
         raise ValueError("one-form is not self-adjoint")
     _, pairs = one_form_generators(triple)
-    span = realspan(pairs, _lstsq_rtol(pairs)) if pairs else None
-    if not in_span(span, omega):
+    if not in_span(realspan(pairs, _lstsq_rtol(pairs)), omega):
         raise ValueError("operator is outside the one-form span")
-    M = triple.cc.mat
-    return triple.dirac + omega + M @ np.conj(omega) @ np.linalg.inv(M)
+    return triple.dirac + omega + triple.cc.conjugate(omega)
 
 
 def _default_dirac(module: CliffordModule, convention: str) -> np.ndarray:

@@ -49,10 +49,13 @@ def as_matrix(M) -> np.ndarray:
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Coerce a nonempty list of equal-shape matrices to an (m, n1, n2) array."""
+    """Coerce a list or (m, n1, n2) stack of equal-shape matrices to an array.
+
+    Only a stack can be empty, because an empty list carries no shape.
+    """
     M = np.asarray(mats, dtype=np.complex128)
-    if M.ndim != 3 or M.shape[0] == 0:
-        raise ValueError("expected a nonempty list of equal-shape matrices")
+    if M.ndim != 3:
+        raise ValueError("expected a list or stack of equal-shape matrices")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     return M
@@ -100,18 +103,14 @@ class RealSpan:
         return np.linalg.norm(V, axis=1), np.linalg.norm(resid, axis=1)
 
 
-def in_span(span, X) -> bool:
-    """Whether X lies in a ``RealSpan`` (None is the zero span).
+def in_span(span: RealSpan, X) -> bool:
+    """Whether X lies in a ``RealSpan``.
 
     X is a member when its residual off the span is at most MEMBER_TOL
     times max(1, ||X||), both in the Frobenius norm.
     """
-    if span is None:
-        norm = resid = frob(as_matrix(X))
-    else:
-        norms, dists = span.residuals([X])
-        norm, resid = float(norms[0]), float(dists[0])
-    return resid / max(1.0, norm) <= MEMBER_TOL
+    norms, dists = span.residuals([X])
+    return float(dists[0]) / max(1.0, float(norms[0])) <= MEMBER_TOL
 
 
 def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
@@ -121,11 +120,12 @@ def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
     adds nothing to the span or the kernel, so only the others are
     realified.  The singular values are padded with exact zeros to the
     count a realification over all coordinates would give.  The rank
-    counts singular values above s[0] * rtol.
+    counts singular values above s[0] * rtol.  An empty (0, n1, n2)
+    stack gives the zero span.
     """
     M = _as_stack(mats)
     m, shape = M.shape[0], M.shape[1:]
-    flat = M.reshape(m, -1)
+    flat = M.reshape(m, shape[0] * shape[1])
     support = _support(flat)
     A = _realify(flat, support)
     # all m left-singular vectors are needed for the kernel
@@ -317,6 +317,18 @@ def relate_fundamental_symmetries(eta, nu, form: KreinForm) -> np.ndarray:
     return P_ihalf @ S_half @ P_half
 
 
+def trace_form(S, T, varpi=None) -> np.ndarray:
+    """The matrix B(S_k, T_l) = tr(varpi S_k^dag varpi T_l) of two (m, n, n) stacks.
+
+    ``varpi`` None is the identity.
+    """
+    WS = S.conj().transpose(0, 2, 1)
+    if varpi is not None:
+        W = as_matrix(varpi)
+        WS = (W[None, :, :] @ WS) @ W
+    return np.einsum("kab,lba->kl", WS, T)
+
+
 def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
     """Orthogonal projection of X onto span for B(S,T) = tr(varpi S^dag varpi T).
 
@@ -333,18 +345,12 @@ def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
         raise ValueError("span must be nonempty")
     if mode not in ("real", "hermitian"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = X.shape[0]
-    if varpi is None:
-        W = np.eye(n)
-    else:
-        W = as_matrix(varpi)
     S = np.stack(mats)
-    WS = (W[None, :, :] @ S.conj().transpose(0, 2, 1)) @ W
-    v = np.einsum("kab,ba->k", WS, X)
+    v = trace_form(S, X[None], varpi)[:, 0]
     if mode == "real":
         v = v.real
     if gram is None:
-        gram = np.einsum("kab,lba->kl", WS, S)
+        gram = trace_form(S, S, varpi)
         if mode == "real":
             gram = gram.real
         sv = np.linalg.svd(gram, compute_uv=False)

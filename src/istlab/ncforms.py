@@ -9,7 +9,7 @@ real part of the trace form tr(varpi S^dag varpi T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,33 +19,10 @@ from .kspace import (
     JUNK_VANISH,
     DegenerateProjectionError,
     RealSpan,
-    as_matrix,
-    in_span,
     real_bilinear_project,
     realspan,
+    trace_form,
 )
-
-
-@dataclass
-class FormSpace:
-    """A real-linear span of matrices with its numerical rank data."""
-
-    span: list
-    real_dim: int
-    singular_values: np.ndarray = field(repr=False, default=None)
-    threshold: float = 0.0
-    gap: float = 0.0  # first discarded over last kept singular value, 0 if none
-    real_span: RealSpan = field(repr=False, default=None)  # None for the zero span
-
-    @classmethod
-    def from_matrices(cls, mats):
-        if not len(mats):
-            return cls([], 0, np.array([]), 0.0)
-        sp = realspan(mats)
-        return cls(list(sp.basis), sp.rank, sp.singular_values, sp.cutoff, sp.gap, sp)
-
-    def contains(self, X) -> bool:
-        return in_span(self.real_span, X)
 
 
 def _checked(triple: IndefiniteTriple):
@@ -54,68 +31,51 @@ def _checked(triple: IndefiniteTriple):
         raise ValueError(f"triple fails axioms: {rep.failures()}")
 
 
-def one_forms(triple: IndefiniteTriple) -> FormSpace:
+def one_forms(triple: IndefiniteTriple) -> RealSpan:
     """Real span of pi(a_i) [D, pi(b_j)] over all basis pairs."""
     _checked(triple)
     _, pairs = one_form_generators(triple)
-    return FormSpace.from_matrices(pairs)
+    return realspan(pairs)
 
 
-def junk_two_forms(triple: IndefiniteTriple) -> FormSpace:
+def junk_two_forms(triple: IndefiniteTriple) -> RealSpan:
     """Image of ker[(a,b) -> pi(a)[D,pi(b)]] under (a,b) -> [D,pi(a)][D,pi(b)]."""
     _checked(triple)
     indexed, pairs = one_form_generators(triple)
-    if not indexed:
-        return FormSpace.from_matrices([])
     kernel = realspan(pairs).kernel  # real coefficient vectors c_(i,j)
-    nk = kernel.shape[1]
-    if nk == 0:
-        return FormSpace.from_matrices([])
 
     # sum_ij c_ij [D, pi(a_i)] [D, pi(b_j)]; only nonzero [D, pi(a_i)] matter,
     # so every image is one combination of the k^2 commutator products
     nz = [i for i, _ in indexed]
-    k, n = len(indexed), triple.dim
-    dcomm = np.stack([c for _, c in indexed])
+    k, n, nk = len(indexed), triple.dim, kernel.shape[1]
+    dcomm = np.array([c for _, c in indexed]).reshape(k, n, n)
     coeff = kernel.T.reshape(nk, len(triple.algebra.basis), k)[:, nz, :]
     prods = (dcomm[:, None] @ dcomm[None, :]).reshape(k * k, n * n)
     images = (coeff.reshape(nk, k * k) @ prods).reshape(nk, n, n)
     # discard images that vanish at the scale of the commutator products
-    scale = float(np.abs(dcomm).max()) ** 2
-    kept = [im for im in images if float(np.abs(im).max()) > JUNK_VANISH * scale]
-    return FormSpace.from_matrices(kept)
+    scale = float(np.abs(dcomm).max(initial=0.0)) ** 2
+    return realspan(images[np.abs(images).max(axis=(1, 2)) > JUNK_VANISH * scale])
 
 
 @dataclass
 class QSpace:
     """The projection target pi(A) + junk with its trace-form Gram data."""
 
-    forms: FormSpace
+    forms: RealSpan
     gram: np.ndarray
     definite: bool
     gram_cond: float
 
 
-def q_space(triple: IndefiniteTriple, varpi=None, junk: FormSpace = None) -> QSpace:
+def q_space(triple: IndefiniteTriple, varpi=None, junk: RealSpan = None) -> QSpace:
     """Algebra image plus junk, with the projection product's Gram report."""
     if junk is None:
         junk = junk_two_forms(triple)
-    space = FormSpace.from_matrices(list(triple.algebra.basis) + junk.span)
-    n = triple.dim
-    W = np.eye(n) if varpi is None else as_matrix(varpi)
-    if space.span:
-        S = np.stack(space.span)
-        WS = (W[None, :, :] @ S.conj().transpose(0, 2, 1)) @ W
-        G = np.einsum("kab,lba->kl", WS, S).real
-    else:
-        G = np.zeros((0, 0))
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T)) if space.span else np.array([1.0])
+    space = realspan(np.concatenate([np.stack(triple.algebra.basis), junk.basis]))
+    G = trace_form(space.basis, space.basis, varpi).real
+    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     definite = bool(eigs.min() > 0 or eigs.max() < 0)
-    cond = (
-        float(abs(eigs).max() / abs(eigs).min())
-        if eigs.size and abs(eigs).min() > 0
-        else np.inf
-    )
+    cond = float(abs(eigs).max() / abs(eigs).min()) if abs(eigs).min() > 0 else np.inf
     return QSpace(space, G, definite, cond)
 
 
@@ -130,6 +90,6 @@ def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = N
     if not np.isfinite(qspace.gram_cond) or qspace.gram_cond > COND_MAX:
         raise DegenerateProjectionError("degenerate projection product")
     _, resid = real_bilinear_project(
-        X, qspace.forms.span, varpi, mode="real", gram=qspace.gram
+        X, qspace.forms.basis, varpi, mode="real", gram=qspace.gram
     )
     return resid

@@ -76,13 +76,12 @@ def load_triple(path: str) -> IndefiniteTriple:
 
 
 def formspace_to_dict(qspace_or_forms) -> dict:
-    """Dump a form space (or Q-space) with rank, Gram condition and span."""
+    """Dump a ``RealSpan`` (or Q-space) with rank, Gram condition and basis."""
     forms = getattr(qspace_or_forms, "forms", qspace_or_forms)
-    sv = forms.singular_values
     data = {
-        "real_dim": forms.real_dim,
-        "singular_values": [] if sv is None else [float(s) for s in sv],
-        "span": [encode_matrix(m) for m in forms.span],
+        "real_dim": forms.rank,
+        "singular_values": [float(s) for s in forms.singular_values],
+        "span": [encode_matrix(m) for m in forms.basis],
     }
     if hasattr(qspace_or_forms, "gram_cond"):
         data["gram_cond"] = float(qspace_or_forms.gram_cond)

@@ -244,7 +244,7 @@ def criterion_sm_structure(rng=None, **_):
         forms = ncforms.one_forms(model.triple)
         junk = ncforms.junk_two_forms(model.triple)
         qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
-        got = (forms.real_dim, junk.real_dim, qs.forms.real_dim)
+        got = (forms.rank, junk.rank, qs.forms.rank)
         if got != (8, 4, 28):
             return False, f"form dims {got} != (8, 4, 28) at N={n}"
         if not qs.definite:

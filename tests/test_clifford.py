@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -195,6 +196,24 @@ def test_cc_solution_space_unique_with_correct_square(module_of):
         scalar_coefficient(basis[0], m.jplus.mat, tol=1e-8)
         sq = scalar_coefficient(basis[0] @ np.conj(basis[0]), np.eye(m.dim))
         assert snap_sign(sq) == sign_a(q - p)
+
+
+def test_doubled_module_solution_spaces(module_of):
+    # two copies of an irreducible module have commutant M_2(C): the hermitian
+    # Robinson grams form a real 4-space, the conjugations a complex 4-space
+    for q, p in ((1, 3), (0, 2)):
+        m = module_of(q, p)
+        gammas = [np.kron(np.eye(2), g) for g in m.gammas]
+        doubled = dataclasses.replace(m, dim=2 * m.dim, gammas=gammas)
+        rob = robinson_solution_space(doubled)
+        assert len(rob) == 4
+        for F in rob:
+            assert np.abs(F - F.conj().T).max() <= 1e-12
+            assert max(np.abs(g.conj().T @ F - F @ g).max() for g in gammas) <= 1e-12
+        cc = cc_solution_space(doubled)
+        assert len(cc) == 4
+        for M in cc:
+            assert max(np.abs(M @ np.conj(g) - g @ M).max() for g in gammas) <= 1e-12
 
 
 def test_pin_norms(module_of):

@@ -158,8 +158,8 @@ def test_useful_identities(rng):
 def test_one_forms_have_higgs_block_pattern(rng):
     model = build_sm(random_yukawas(rng, 1))
     forms = ncforms.one_forms(model.triple)
-    assert forms.real_dim == 8
-    for S in forms.span:
+    assert forms.rank == 8
+    for S in forms.basis:
         off = S.copy()
         off[model.block(0), model.block(1)] = 0
         off[model.block(1), model.block(0)] = 0
