@@ -15,14 +15,11 @@ import numpy as np
 
 from . import serialize, sm, specact, verify
 from .clifford import Signature, build, extract_signs, verify_relations
-from .dims import EVEN_RESIDUES, cardinal_table, dims_from_signs, sign_a, spacetime_pairs
+from .dims import (CONVENTIONS, EVEN_RESIDUES, cardinal_table, dims_from_signs, sign_a,
+                   signs_from_dims, spacetime_pairs)
 from .ist import check_axioms, first_order, order_zero, triple_dims
 from .kspace import AXIOM_TOL
 from .tensor import tensor_modules
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
 def _emit(rows, header, fmt: str):
@@ -52,8 +49,6 @@ def _cmd_signs(args) -> int:
         _emit(rows, ("row", "n=0", "n=2", "n=4", "n=6"), args.format)
     elif args.table == "ko-metric":
         rows = []
-        from .dims import signs_from_dims
-
         for n in EVEN_RESIDUES:
             q = signs_from_dims(n, n)
             rows.append((n, q.eps, q.eps2))
@@ -76,7 +71,7 @@ def _cmd_signs(args) -> int:
 
 def _module_summary(module, fmt: str):
     rows = []
-    for conv in ("east", "west", "south", "north"):
+    for conv in CONVENTIONS:
         q = extract_signs(module, conv)
         n, m = dims_from_signs(q)
         rows.append((conv, q.eps, q.eps2, q.kap, q.kap2, n, m))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import SignQuadruple, sign_a
+from .dims import SignQuadruple, cardinal_table, signs_from_dims
 from .kspace import (
     RANK_RTOL,
     UNIT_TOL,
@@ -77,8 +77,6 @@ class CliffordModule:
     dim: int
     gammas: list
     chi: np.ndarray
-    chi_minus: np.ndarray
-    chi_plus: np.ndarray
     eta_plus: np.ndarray
     eta_minus: np.ndarray
     gram_robinson: KreinForm
@@ -192,16 +190,8 @@ def _normalized_symmetry(mats, gram: KreinForm) -> np.ndarray:
     return P
 
 
-def _partial_chirality(mats, count: int) -> np.ndarray:
-    phase = 1j ** (count // 2)
-    P = np.eye(mats[0].shape[0], dtype=complex)
-    for g in mats:
-        P = P @ g
-    return phase * P
-
-
 def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
-    q, p = sig.q, sig.p
+    q = sig.q
     gram_rob = KreinForm(gram)
     gram_anti = KreinForm((1j ** q) * gram @ chi)
     negatives = gammas[: q]
@@ -212,16 +202,11 @@ def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
     else:
         eta_plus = _normalized_symmetry(positives, gram_rob)
         eta_minus = _normalized_symmetry(negatives, gram_anti)
-    n = gram_rob.dim
-    chi_minus = _partial_chirality(negatives, q) if q else np.eye(n, dtype=complex)
-    chi_plus = _partial_chirality(positives, p) if p else np.eye(n, dtype=complex)
     return CliffordModule(
         sig=sig,
         dim=sig.spinor_dim,
         gammas=[as_matrix(g) for g in gammas],
         chi=as_matrix(chi),
-        chi_minus=chi_minus,
-        chi_plus=chi_plus,
         eta_plus=eta_plus,
         eta_minus=eta_minus,
         gram_robinson=gram_rob,
@@ -385,16 +370,8 @@ def pin_norms(module: CliffordModule, vectors) -> tuple[int, int]:
 
 
 def expected_signs(q: int, p: int, convention: str) -> SignQuadruple:
-    """The sign table's prediction for Cl(q, p) in a cardinal convention."""
-    key = convention.lower()
-    if key in ("east", "south"):
-        eps = sign_a(q - p)
-    else:
-        eps = sign_a(p - q)
-    if key in ("east", "west"):
-        kap = sign_a(p + q)
-    else:
-        kap = sign_a(-(p + q))
-    eps2 = -1 if ((p - q) // 2) % 2 else 1
-    kap2 = eps2 if q % 2 == 0 else -eps2
-    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=kap2)
+    """The sign table's prediction for Cl(q, p): its convention's ``cardinal_table`` row."""
+    for row in cardinal_table(q, p):
+        if row.convention == convention.lower():
+            return signs_from_dims(row.n, row.m)
+    raise ValueError(f"unknown convention {convention!r}")

@@ -64,19 +64,13 @@ class FiniteAlgebra:
         if getattr(self, "_closure", None) is not None:
             return self._closure
         B = np.stack(self.basis)
-        span = realspan(B, _lstsq_rtol(B))
+        span = realspan(B)
         worst = 0.0
         for a in B:  # one row of products at a time bounds the memory
             norms, dists = span.residuals(a @ B)
             worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
         self._closure = worst
         return self._closure
-
-
-def _lstsq_rtol(mats) -> float:
-    """The rank cutoff numpy's pinv and lstsq apply to the full realification."""
-    m, n1, n2 = np.shape(mats)
-    return max(m, 2 * n1 * n2) * np.finfo(float).eps
 
 
 def scalar_algebra(n: int) -> FiniteAlgebra:
@@ -173,11 +167,16 @@ def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
     return AxiomReport(v)
 
 
-def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
-    """KO and metric dimensions (n, m) of a compliant triple."""
+def require_axioms(triple: IndefiniteTriple, what: str = "triple"):
+    """Raise ValueError naming ``what`` unless the triple passes every axiom."""
     report = check_axioms(triple)
     if not report.ok:
-        raise ValueError(f"triple fails axioms: {report.failures()}")
+        raise ValueError(f"{what} fails axioms: {report.failures()}")
+
+
+def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
+    """KO and metric dimensions (n, m) of a compliant triple."""
+    require_axioms(triple)
     return dims_from_signs(measure_signs(triple.form, triple.cc, triple.chi))
 
 
@@ -238,7 +237,7 @@ def fluctuate(triple: IndefiniteTriple, omega) -> np.ndarray:
     if _maxabs(triple.form.adjoint(omega) - omega) > MEMBER_TOL:
         raise ValueError("one-form is not self-adjoint")
     _, pairs = one_form_generators(triple)
-    if not in_span(realspan(pairs, _lstsq_rtol(pairs)), omega):
+    if not in_span(realspan(pairs), omega):
         raise ValueError("operator is outside the one-form span")
     return triple.dirac + omega + triple.cc.conjugate(omega)
 

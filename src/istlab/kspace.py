@@ -113,14 +113,14 @@ def in_span(span: RealSpan, X) -> bool:
     return float(dists[0]) / max(1.0, float(norms[0])) <= MEMBER_TOL
 
 
-def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
+def realspan(mats) -> RealSpan:
     """Span basis and coefficient kernel of matrices from one real SVD.
 
     A real or imaginary coordinate that is exactly zero in every matrix
     adds nothing to the span or the kernel, so only the others are
     realified.  The singular values are padded with exact zeros to the
     count a realification over all coordinates would give.  The rank
-    counts singular values above s[0] * rtol.  An empty (0, n1, n2)
+    counts singular values above s[0] * RANK_RTOL.  An empty (0, n1, n2)
     stack gives the zero span.
     """
     M = _as_stack(mats)
@@ -130,7 +130,7 @@ def realspan(mats, rtol=RANK_RTOL) -> RealSpan:
     A = _realify(flat, support)
     # all m left-singular vectors are needed for the kernel
     u, s, vt = np.linalg.svd(A, full_matrices=m > A.shape[1])
-    cutoff = float(s[0] * rtol) if s.size and s[0] > 0 else 0.0
+    cutoff = float(s[0] * RANK_RTOL) if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
     s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
@@ -337,7 +337,8 @@ def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
     coefficients and the sesquilinear B itself.  Returns (projection,
     residual) with the residual B-orthogonal to every span element.
     A caller that already holds the Gram of ``span`` for this form and
-    mode passes it as ``gram`` and checks its conditioning itself.
+    mode passes it as ``gram``.  A Gram conditioned worse than COND_MAX
+    raises ``DegenerateProjectionError``.
     """
     X = as_matrix(X)
     mats = [as_matrix(S) for S in span]
@@ -353,9 +354,9 @@ def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
         gram = trace_form(S, S, varpi)
         if mode == "real":
             gram = gram.real
-        sv = np.linalg.svd(gram, compute_uv=False)
-        if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
-            raise DegenerateProjectionError("degenerate projection product")
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
+        raise DegenerateProjectionError("degenerate projection product")
     coeff = np.linalg.solve(gram, v)
     proj = sum(c * S for c, S in zip(coeff, mats))
     return proj, X - proj

@@ -13,34 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ist import IndefiniteTriple, check_axioms, one_form_generators
-from .kspace import (
-    COND_MAX,
-    JUNK_VANISH,
-    DegenerateProjectionError,
-    RealSpan,
-    real_bilinear_project,
-    realspan,
-    trace_form,
-)
-
-
-def _checked(triple: IndefiniteTriple):
-    rep = check_axioms(triple)
-    if not rep.ok:
-        raise ValueError(f"triple fails axioms: {rep.failures()}")
+from .ist import IndefiniteTriple, one_form_generators, require_axioms
+from .kspace import JUNK_VANISH, RealSpan, real_bilinear_project, realspan, trace_form
 
 
 def one_forms(triple: IndefiniteTriple) -> RealSpan:
     """Real span of pi(a_i) [D, pi(b_j)] over all basis pairs."""
-    _checked(triple)
+    require_axioms(triple)
     _, pairs = one_form_generators(triple)
     return realspan(pairs)
 
 
 def junk_two_forms(triple: IndefiniteTriple) -> RealSpan:
     """Image of ker[(a,b) -> pi(a)[D,pi(b)]] under (a,b) -> [D,pi(a)][D,pi(b)]."""
-    _checked(triple)
+    require_axioms(triple)
     indexed, pairs = one_form_generators(triple)
     kernel = realspan(pairs).kernel  # real coefficient vectors c_(i,j)
 
@@ -87,8 +73,6 @@ def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = N
     """
     if qspace is None:
         qspace = q_space(triple, varpi)
-    if not np.isfinite(qspace.gram_cond) or qspace.gram_cond > COND_MAX:
-        raise DegenerateProjectionError("degenerate projection product")
     _, resid = real_bilinear_project(
         X, qspace.forms.basis, varpi, mode="real", gram=qspace.gram
     )

@@ -19,7 +19,6 @@ from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, as_matrix
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
-LEPTON_SLOTS = (0, 1)
 UP_SLOTS = (0, 2, 3, 4)    # nu and the three u colors
 DOWN_SLOTS = (1, 5, 6, 7)  # e and the three d colors
 
@@ -204,7 +203,6 @@ def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
 
 def yukawa_block(y: YukawaSet) -> np.ndarray:
     """The slot-diagonal Yukawa matrix Y on one 8N block."""
-    n = y.n_gen
     blocks = [y.ynu, y.ye] + [y.yu] * 3 + [y.yd] * 3
     return _blockdiag(blocks)
 

@@ -137,7 +137,8 @@ def shift_identity_residual(spec: TorusSpec, theta: complex) -> float:
     return float(abs(1.0 - np.exp(log_rhs - log_lhs)))
 
 
-GRID_LIMIT = 10 ** 7
+GRID_LIMIT = 10 ** 7      # most eigenvalues the grid path materializes
+FOURIER_LIMIT = 10 ** 8   # most quadrature-node x circle-mode entries the Fourier path allocates
 
 
 def eigenvalue_grid(spec: TorusSpec) -> np.ndarray:
@@ -173,6 +174,8 @@ def spectral_action(
         return float(f(-eig / lam_cut ** 2).sum())
     if not f.has_fourier:
         raise ValueError("grid too large and cutoff has no Fourier transform")
+    if 4001 * spec.N > FOURIER_LIMIT:  # n >= 4001 below; refuse before building the spectrum
+        raise ValueError(f"Fourier quadrature too large: over 4001 nodes x {spec.N} modes")
     lam = circle_spectrum(spec.N, spec.a)
     scale = 1.0 / lam_cut ** 2
     K = 2.0 * np.sqrt(np.log(10.0) * (16 + spec.d * np.log10(spec.N)))
@@ -180,6 +183,8 @@ def spectral_action(
     n = int(max(4001, 40 * K * max(1.0, omega)))
     if n % 2 == 0:
         n += 1
+    if n * spec.N > FOURIER_LIMIT:
+        raise ValueError(f"Fourier quadrature too large: {n} nodes x {spec.N} modes")
     k = np.linspace(-K, K, n)
     tr_plus = np.exp(-1j * scale * np.outer(k, lam)).sum(axis=1)
     tr_minus = np.conj(tr_plus)  # the spectrum is real

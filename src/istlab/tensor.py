@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import CliffordModule, Signature, _assemble
-from .ist import FiniteAlgebra, IndefiniteTriple, check_axioms
+from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
 from .kspace import (
     RTOL,
     AntilinearOperator,
@@ -76,10 +76,8 @@ def tensor_modules(m1: CliffordModule, m2: CliffordModule) -> CliffordModule:
 
 def _product_form(t1: IndefiniteTriple, t2: IndefiniteTriple) -> KreinForm:
     """The pairing (., .)_1 x (., beta .)_2 of two triples that pass their axioms."""
-    for name, t in (("first", t1), ("second", t2)):
-        rep = check_axioms(t)
-        if not rep.ok:
-            raise ValueError(f"{name} factor fails axioms: {rep.failures()}")
+    require_axioms(t1, "first factor")
+    require_axioms(t2, "second factor")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
     return KreinForm(np.kron(t1.form.gram, t2.form.gram @ beta))
 

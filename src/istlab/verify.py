@@ -24,7 +24,7 @@ from .clifford import (
     robinson_solution_space,
     verify_relations,
 )
-from .dims import cardinal_table, dims_from_signs, mod8, spacetime_pairs
+from .dims import CONVENTIONS, cardinal_table, dims_from_signs, mod8, spacetime_pairs
 from .ist import (
     check_axioms,
     first_order,
@@ -92,7 +92,7 @@ def criterion_sign_tables(max_dim: int = 8, **_):
     checked = 0
     for q, p in supported_signatures(max_dim):
         module = cached_module(q, p)
-        for conv in ("east", "west", "south", "north"):
+        for conv in CONVENTIONS:
             if extract_signs(module, conv) != expected_signs(q, p, conv):
                 return False, f"sign mismatch at (q,p)=({q},{p}) {conv}"
             checked += 1

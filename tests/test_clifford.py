@@ -162,6 +162,8 @@ def test_extract_signs_against_table(module_of):
         m = module_of(q, p)
         for conv in ("east", "west", "south", "north"):
             assert extract_signs(m, conv) == expected_signs(q, p, conv)
+    with pytest.raises(ValueError, match="unknown convention"):
+        expected_signs(1, 3, "up")
 
 
 def test_extract_signs_examples(module_of):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import supported_signatures
+from istlab import ncforms
 from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
     FiniteAlgebra,
@@ -18,6 +19,7 @@ from istlab.ist import (
     triple_dims,
 )
 from istlab.kspace import AntilinearOperator, KreinForm
+from istlab.tensor import tensor_ist
 
 
 def south_triple(module_of, q, p, dirac=None):
@@ -51,6 +53,19 @@ def test_axioms_fail_for_inhomogeneous_cc(module_of):
     report = check_axioms(bad)
     assert not report.ok
     assert "cc_homogeneous" in report.failures()
+
+
+def test_axiom_gate_names_the_failing_triple(module_of):
+    m = module_of(1, 3)
+    good = from_clifford_module(m, "south")
+    bad = from_clifford_module(m, "south", dirac=m.chi)
+    for fn in (triple_dims, ncforms.one_forms, ncforms.junk_two_forms):
+        with pytest.raises(ValueError, match="^triple fails axioms: .*dirac_odd"):
+            fn(bad)
+    with pytest.raises(ValueError, match="^first factor fails axioms: .*dirac_odd"):
+        tensor_ist(bad, good)
+    with pytest.raises(ValueError, match="^second factor fails axioms: .*dirac_odd"):
+        tensor_ist(good, bad)
 
 
 def test_triple_dims_of_conventions(module_of):

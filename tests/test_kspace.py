@@ -178,6 +178,12 @@ def test_projection_degenerate_gram_rejected():
         real_bilinear_project(np.eye(2), span)
 
 
+def test_projection_degenerate_supplied_gram_rejected():
+    span = [np.eye(2), np.eye(2) * (1 + 1e-14)]
+    with pytest.raises(DegenerateProjectionError, match="degenerate projection"):
+        real_bilinear_project(np.eye(2), span, gram=np.full((2, 2), 2.0))
+
+
 def test_eta_adjoint_identity(rng):
     # for a fundamental symmetry eta: T^(dag eta) = eta T^x eta
     form = KreinForm(np.diag([1.0, -1.0, 1.0]))

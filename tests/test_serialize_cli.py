@@ -152,6 +152,15 @@ def test_cli_spectral_action(capsys):
     assert int(N) == 16 and float(S) > 0
 
 
+@pytest.mark.parametrize("torus", [
+    ["--d", "2", "--t", "1", "--s", "1", "--N", "4096"],  # 8e11 node x mode entries, 5.85 TiB
+    ["--d", "1", "--t", "1", "--s", "0", "--N", "1000000000"],  # refused before its spectrum
+])
+def test_cli_spectral_action_refuses_oversized_fourier_quadrature(capsys, torus):
+    assert main(["spectral-action", *torus, "--L", "1", "--lambda", "20"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_spectral_action_scan(capsys):
     assert main([
         "spectral-action", "--d", "2", "--t", "1", "--s", "1",

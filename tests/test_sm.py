@@ -14,6 +14,7 @@ from istlab.ist import (
     order_zero,
     triple_dims,
 )
+from istlab.kspace import in_span
 from istlab.sm import (
     LagrangianCoeffs,
     YukawaSet,
@@ -101,6 +102,21 @@ def test_higgs_one_form_properties(rng):
     fluct = fluctuate(t, Hm1)
     k = model.block_dim
     assert np.abs(fluct[model.block(1), model.block(0)]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_fluctuate_uses_the_one_form_span(rng, n):
+    model = build_sm(random_yukawas(rng, n))
+    t = model.triple
+    span = ncforms.one_forms(t)
+    q_h = quaternion(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+    H = higgs_one_form(model, q_h)
+    assert in_span(span, H)
+    fluctuate(t, H)
+    # chi is Krein self-adjoint and even, so no one-form
+    assert not in_span(span, t.chi)
+    with pytest.raises(ValueError, match="outside the one-form span"):
+        fluctuate(t, t.chi)
 
 
 def test_fluctuated_dirac_matches_block_form(rng):
