@@ -9,6 +9,7 @@ growing Lorentzian traces representable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class CutoffFn:
         if self.kind == "sampled":
             if len(self.params) != 2:
                 raise ValueError("sampled cutoff needs (u_grid, values)")
+            # converted once: the grid path calls f once per slab
+            object.__setattr__(self, "params", tuple(np.asarray(x, float) for x in self.params))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -67,8 +70,7 @@ class CutoffFn:
             return np.exp(-(u ** 2))
         if self.kind == "exp":
             return np.exp(-u)
-        grid, vals = self.params
-        return np.interp(u, np.asarray(grid, float), np.asarray(vals, float))
+        return np.interp(u, *self.params)
 
     @property
     def has_fourier(self) -> bool:
@@ -82,8 +84,8 @@ class CutoffFn:
         return np.exp(-(k ** 2) / 4.0) / (2.0 * np.sqrt(np.pi))
 
 
-def circle_spectrum(N: int, a: float) -> np.ndarray:
-    """Eigenvalues (2 cos(2 pi k / N) - 2) / a^2 of the circle operator, sorted.
+def _circle_eigenvalues(N: int, a: float) -> np.ndarray:
+    """(2 cos(2 pi k / N) - 2) / a^2 for k = 0, ..., N - 1, unsorted.
 
     N = 2 is special: both neighbour conditions coincide, the adjacency
     entry stays 1, and the eigenvalues are (-1 - 2)/a^2 and (1 - 2)/a^2.
@@ -92,8 +94,12 @@ def circle_spectrum(N: int, a: float) -> np.ndarray:
         raise ValueError("N must be at least 2")
     if N == 2:
         return np.array([-3.0, -1.0]) / a ** 2
-    lam = (2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) - 2.0) / a ** 2
-    return np.sort(lam)
+    return (2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) - 2.0) / a ** 2
+
+
+def circle_spectrum(N: int, a: float) -> np.ndarray:
+    """Eigenvalues (2 cos(2 pi k / N) - 2) / a^2 of the circle operator, sorted."""
+    return np.sort(_circle_eigenvalues(N, a))
 
 
 def _log_sum(lam: np.ndarray, theta: complex) -> complex:
@@ -137,21 +143,33 @@ def shift_identity_residual(spec: TorusSpec, theta: complex) -> float:
     return float(abs(1.0 - np.exp(log_rhs - log_lhs)))
 
 
-GRID_LIMIT = 10 ** 7      # most eigenvalues the grid path materializes
-FOURIER_LIMIT = 10 ** 8   # most quadrature-node x circle-mode entries the Fourier path allocates
+GRID_LIMIT = 10 ** 7      # most eigenvalues the grid path sums
+FOURIER_LIMIT = 10 ** 8   # most quadrature-node x circle-mode terms the Fourier path sums
+_BLOCK = 2 ** 14          # entries per streamed slab or node block: 128 kB of float64
+
+
+def _grid_slabs(spec: TorusSpec):
+    """The N^d eigenvalues in grid order, as slabs of about _BLOCK values.
+
+    The first d - 1 circles are summed out in full (N^(d-1) values); each
+    slab adds the last circle to a run of those partial sums.
+    """
+    if spec.N ** spec.d > GRID_LIMIT:
+        raise ValueError("eigenvalue grid too large")
+    lam = circle_spectrum(spec.N, spec.a)
+    signs = [1.0] * spec.t + [-1.0] * spec.s
+    head = np.zeros(1)
+    for sign in signs[:-1]:
+        head = np.add.outer(head, sign * lam).ravel()
+    last = signs[-1] * lam
+    rows = max(1, _BLOCK // spec.N)
+    for i in range(0, head.size, rows):
+        yield np.add.outer(head[i:i + rows], last).ravel()
 
 
 def eigenvalue_grid(spec: TorusSpec) -> np.ndarray:
     """All N^d eigenvalues of the signature Laplacian (t plus, s minus)."""
-    if spec.N ** spec.d > GRID_LIMIT:
-        raise ValueError("eigenvalue grid too large")
-    lam = circle_spectrum(spec.N, spec.a)
-    total = np.zeros(1)
-    for _ in range(spec.t):
-        total = np.add.outer(total, lam).ravel()
-    for _ in range(spec.s):
-        total = np.add.outer(total, -lam).ravel()
-    return total
+    return np.concatenate(list(_grid_slabs(spec)))
 
 
 def spectral_action(
@@ -161,39 +179,52 @@ def spectral_action(
 
     The grid path is exact for N^d within the dense limit; the Fourier
     path needs an integrable transform (gaussian cutoff).  Both agree to
-    1e-6 relative where both run.
+    1e-6 relative where both run.  Both stream: the grid in slabs, the
+    quadrature in node blocks, so memory stays bounded by N^(d-1) values
+    and by the node count n, never by N^d or n N.
     """
-    if not lam_cut > 0:
-        raise ValueError("Lambda must be positive")
+    if not (lam_cut > 0 and np.finfo(float).tiny <= float(lam_cut) * float(lam_cut) < math.inf):
+        raise ValueError(f"Lambda = {lam_cut!r} must be positive with a finite, normal square")
     if method not in ("auto", "grid", "fourier"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "grid" if spec.N ** spec.d <= GRID_LIMIT else "fourier"
     if method == "grid":
-        eig = eigenvalue_grid(spec)
-        return float(f(-eig / lam_cut ** 2).sum())
+        return math.fsum(float(f(-slab / lam_cut ** 2).sum()) for slab in _grid_slabs(spec))
     if not f.has_fourier:
         raise ValueError("grid too large and cutoff has no Fourier transform")
     if 4001 * spec.N > FOURIER_LIMIT:  # n >= 4001 below; refuse before building the spectrum
         raise ValueError(f"Fourier quadrature too large: over 4001 nodes x {spec.N} modes")
-    lam = circle_spectrum(spec.N, spec.a)
+    eig = _circle_eigenvalues(spec.N, spec.a)
     scale = 1.0 / lam_cut ** 2
     K = 2.0 * np.sqrt(np.log(10.0) * (16 + spec.d * np.log10(spec.N)))
-    omega = spec.d * float(np.abs(lam).max()) * scale
+    omega = spec.d * float(np.abs(eig).max()) * scale
     n = int(max(4001, 40 * K * max(1.0, omega)))
     if n % 2 == 0:
         n += 1
     if n * spec.N > FOURIER_LIMIT:
         raise ValueError(f"Fourier quadrature too large: {n} nodes x {spec.N} modes")
-    k = np.linspace(-K, K, n)
-    tr_plus = np.exp(-1j * scale * np.outer(k, lam)).sum(axis=1)
-    tr_minus = np.conj(tr_plus)  # the spectrum is real
-    integrand = (f.fourier(k) * tr_plus ** spec.t * tr_minus ** spec.s).real
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    # mode N - k repeats mode k: keep k = 0..N//2 and count k = 1..(N-1)//2 twice
+    lam = eig[: spec.N // 2 + 1]
+    mult = np.ones(lam.size)
+    mult[1:(spec.N + 1) // 2] = 2.0
+    # Simpson's rule on n nodes over [-K, K], step h.  The spectrum is real, so
+    # tr(-k) = conj(tr(k)) and the integrand is even: sum over k >= 0 only,
+    # every node but k = 0 standing for its mirror image too.
+    m = (n - 1) // 2
     h = 2.0 * K / (n - 1)
-    return float((w * integrand).sum() * h / 3.0)
+    k = np.linspace(0.0, K, m + 1)
+    w = np.where((m + np.arange(m + 1)) % 2, 4.0, 2.0)
+    w[-1] = 1.0
+    w[0] /= 2.0
+    rows = max(1, _BLOCK // lam.size)
+    total = 0.0
+    for i in range(0, m + 1, rows):
+        phase = scale * np.multiply.outer(k[i:i + rows], lam)
+        tr = np.cos(phase) @ mult - 1j * (np.sin(phase) @ mult)
+        integrand = (f.fourier(k[i:i + rows]) * tr ** spec.t * np.conj(tr) ** spec.s).real
+        total += float(w[i:i + rows] @ integrand)
+    return float(2.0 * total * h / 3.0)
 
 
 def heat_kernel_limit_check(spec: TorusSpec, theta: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature, _assemble
+from .clifford import MAX_DIM, CliffordModule, Signature, _assemble
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
 from .kspace import (
     RTOL,
@@ -56,6 +56,8 @@ def tensor_modules(m1: CliffordModule, m2: CliffordModule) -> CliffordModule:
     q1, p1 = m1.sig.q, m1.sig.p
     q2, p2 = m2.sig.q, m2.sig.p
     sig = Signature(q1 + q2, p1 + p2)
+    if sig.d > MAX_DIM:
+        raise ValueError(f"dimension {sig.d} exceeds the dense-algebra cap {MAX_DIM}")
 
     eye2 = np.eye(m2.dim)
     first = [np.kron(g, eye2) for g in m1.gammas]

@@ -161,6 +161,24 @@ def test_cli_spectral_action_refuses_oversized_fourier_quadrature(capsys, torus)
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("N", ["4096", "64"])  # Fourier path, grid path
+def test_cli_spectral_action_refuses_underflowing_cutoff(capsys, N):
+    # Lambda^2 = 1e-400 underflows to 0
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", N, "--L", "1"]
+    assert main(["spectral-action", *torus, "--lambda", "1e-200"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):
+    # without the cap this would build 24 complex 4096 x 4096 generators
+    def kron(*_):
+        raise AssertionError("Kronecker product built before the cap check")
+
+    monkeypatch.setattr(np, "kron", kron)
+    assert main(["tensor", "--left", "6,6", "--right", "6,6"]) == 1
+    assert capsys.readouterr().err.startswith("error: dimension 24 exceeds")
+
+
 def test_cli_spectral_action_scan(capsys):
     assert main([
         "spectral-action", "--d", "2", "--t", "1", "--s", "1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,10 +126,63 @@ def test_spectral_action_paths_agree():
         (TorusSpec(2, 1, 1, 16, 1 / 16), 10.0),
         (TorusSpec(4, 1, 3, 8, 1 / 8), 20.0),
         (TorusSpec(2, 2, 0, 12, 0.3), 6.0),
+        # the Fourier path folds circle modes and nodes; these are its edge cases
+        (TorusSpec(1, 1, 0, 2, 1.0), 2.0),     # N = 2: the two special circle values
+        (TorusSpec(2, 1, 1, 2, 0.5), 3.0),
+        (TorusSpec(3, 3, 0, 2, 0.5), 3.0),
+        (TorusSpec(1, 0, 1, 3, 1.0), 2.0),     # N = 3: one mode counted once, one twice
+        (TorusSpec(3, 1, 2, 3, 0.4), 4.0),
+        (TorusSpec(4, 2, 2, 3, 0.5), 3.0),
+        (TorusSpec(2, 1, 1, 9, 1 / 9), 10.0),  # odd N: no unpaired top mode
+        (TorusSpec(3, 0, 3, 7, 0.3), 6.0),     # t = 0
+        (TorusSpec(2, 2, 0, 5, 0.5), 3.0),     # s = 0
     ):
         grid = spectral_action(spec, f, lam, method="grid")
         fourier = spectral_action(spec, f, lam, method="fourier")
         assert abs(grid - fourier) <= 1e-6 * abs(grid)
+
+
+U_SAMPLES = np.linspace(-50.0, 50.0, 2001)
+
+
+@pytest.mark.parametrize("f", [
+    CutoffFn("gaussian"),
+    CutoffFn("exp"),
+    CutoffFn("sampled", (U_SAMPLES, np.exp(-(U_SAMPLES ** 2)))),
+], ids=["gaussian", "exp", "sampled"])
+def test_streamed_grid_matches_dense_sum(f):
+    for spec in (TorusSpec(3, 1, 2, 40, 1 / 40), TorusSpec(2, 0, 2, 200, 0.05),
+                 TorusSpec(1, 0, 1, 64, 0.25)):
+        eig = eigenvalue_grid(spec)
+        # grid order: the first circle varies slowest
+        lam = circle_spectrum(spec.N, spec.a)
+        dense = np.zeros(1)
+        for sign in [1.0] * spec.t + [-1.0] * spec.s:
+            dense = np.add.outer(dense, sign * lam).ravel()
+        assert np.array_equal(eig, dense)
+        want = float(f(-eig / 20.0 ** 2).sum())
+        assert abs(spectral_action(spec, f, 20.0, method="grid") - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("spec, method", [
+    (TorusSpec(3, 1, 2, 128, 1 / 128), "fourier"),  # 281,001 nodes x 128 modes
+    (TorusSpec(4, 1, 3, 56, 1 / 56), "grid"),       # 9.8e6 eigenvalues
+])
+def test_spectral_action_memory_is_bounded(spec, method):
+    tracemalloc.start()
+    try:
+        spectral_action(spec, CutoffFn("gaussian"), 20.0, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-160, 1e200, 0.0, -1.0, float("nan"), float("inf")])
+def test_spectral_action_rejects_cutoff_without_normal_square(lam):
+    for method in ("grid", "fourier"):
+        with pytest.raises(ValueError, match="Lambda"):
+            spectral_action(TorusSpec(2, 1, 1, 8, 0.125), CutoffFn("gaussian"), lam, method)
 
 
 def test_spectral_action_gaussian_saturates_at_large_cutoff():
@@ -150,6 +205,8 @@ def test_sampled_cutoff_grid_only():
     S2 = spectral_action(spec, CutoffFn("gaussian"), 5.0, method="grid")
     # linear interpolation error only
     assert abs(S1 - S2) <= 1e-5 * abs(S2)
+    as_lists = CutoffFn("sampled", (u.tolist(), np.exp(-(u ** 2)).tolist()))
+    assert spectral_action(spec, as_lists, 5.0, method="grid") == S1
     with pytest.raises(ValueError, match="Fourier"):
         spectral_action(spec, sampled, 5.0, method="fourier")
 
@@ -188,8 +245,9 @@ def test_divergence_scan_rows_and_slope():
     assert all(N == round(1 / a) for a, N, _ in rows)
     # rows come sorted by ascending spacing; the action grows as a shrinks
     assert rows[0][2] > rows[2][2]
-    # measured lattice exponents at fixed Lambda: d-2 up to logarithms,
-    # drifting toward d-1 only once Lambda^2 drops below the level spacing
+    # measured lattice exponents at fixed Lambda over these scans: 0.520 at
+    # d=2, between d-2 and d-1 and still drifting toward d-1 at smaller a;
+    # 2.002 at d=4, i.e. d-2
     assert 0.3 <= slope <= 0.8
     slope4, _ = divergence_exponent(
         TorusSpec(4, 1, 3, 8, 1 / 8), [1 / 8, 1 / 16, 1 / 32], f, 20.0, method="fourier"

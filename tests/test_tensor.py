@@ -54,6 +54,16 @@ def test_zero_dimensional_factor_rejected():
         Signature(0, 0)
 
 
+def test_tensor_modules_refuses_products_over_the_cap(module_of, monkeypatch):
+    def kron(*_):
+        raise AssertionError("Kronecker product built before the cap check")
+
+    m1, m2 = module_of(6, 6), module_of(0, 2)
+    monkeypatch.setattr(np, "kron", kron)
+    with pytest.raises(ValueError, match="dimension 14 exceeds the dense-algebra cap 12"):
+        tensor_modules(m1, m2)
+
+
 def test_tensor_generator_adjoints(module_of):
     prod = tensor_modules(module_of(1, 1), module_of(0, 2))
     for g in prod.gammas:
