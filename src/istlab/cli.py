@@ -150,16 +150,16 @@ def _cmd_sm(args) -> int:
 
 def _cmd_spectral_action(args) -> int:
     f = specact.CutoffFn(args.cutoff)
+    # N = 0 must reach TorusSpec's N check instead of dividing by zero
+    spec = specact.TorusSpec(args.d, args.t, args.s, args.N, args.L / (args.N or 1))
     if args.scan_a:
         lo, hi, count = args.scan_a
         a_values = list(np.geomspace(lo, hi, int(count)))
-        base = specact.TorusSpec(args.d, args.t, args.s, args.N, args.L / args.N)
-        slope, rows = specact.divergence_exponent(base, a_values, f, args.lam)
+        slope, rows = specact.divergence_exponent(spec, a_values, f, args.lam)
         table = [(a, N, S, float(np.log(S))) for a, N, S in rows]
         _emit(table, ("a", "N", "S", "logS"), args.format)
         print(f"fitted slope: {slope}", file=sys.stderr)
         return 0
-    spec = specact.TorusSpec(args.d, args.t, args.s, args.N, args.L / args.N)
     S = specact.spectral_action(spec, f, args.lam)
     _emit([(spec.a, spec.N, S, float(np.log(S)))], ("a", "N", "S", "logS"), args.format)
     return 0

@@ -20,6 +20,7 @@ from .kspace import (
     MEMBER_TOL,
     AntilinearOperator,
     KreinForm,
+    _read_only,
     antilinear_adjoint,
     as_matrix,
     frob,
@@ -79,9 +80,12 @@ def scalar_algebra(n: int) -> FiniteAlgebra:
     return FiniteAlgebra([eye], [eye], labels=["1"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndefiniteTriple:
-    """(algebra, Krein form, Dirac, chirality, charge conjugation)."""
+    """(algebra, Krein form, Dirac, chirality, charge conjugation).
+
+    Frozen with read-only arrays, so its memoised axiom report stays valid.
+    """
 
     form: KreinForm
     chi: np.ndarray
@@ -91,8 +95,8 @@ class IndefiniteTriple:
     sigma: int
 
     def __post_init__(self):
-        self.chi = as_matrix(self.chi)
-        self.dirac = as_matrix(self.dirac)
+        object.__setattr__(self, "chi", _read_only(self.chi))
+        object.__setattr__(self, "dirac", _read_only(self.dirac))
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
 
@@ -133,7 +137,16 @@ def _sign_defect(A, B) -> float:
 
 
 def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
-    """Evaluate every triple axiom; pass iff all violations <= AXIOM_TOL."""
+    """Evaluate every triple axiom once per triple; pass iff all violations <= AXIOM_TOL."""
+    violations = getattr(triple, "_axioms", None)
+    if violations is None:
+        violations = _evaluate_axioms(triple)
+        object.__setattr__(triple, "_axioms", violations)
+    return AxiomReport(dict(violations))
+
+
+def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
+    """The worst violation of each triple axiom, by name."""
     n = triple.dim
     chi = triple.chi
     D = triple.dirac
@@ -163,8 +176,7 @@ def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
         default=0.0,
     )
     v["algebra_closed"] = triple.algebra.closure_violation()
-
-    return AxiomReport(v)
+    return v
 
 
 def require_axioms(triple: IndefiniteTriple, what: str = "triple"):

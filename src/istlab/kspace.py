@@ -184,8 +184,49 @@ def snap_sign(c) -> int:
     raise ValueError(f"scalar {c} is not a sign")
 
 
+def _read_only(M) -> np.ndarray:
+    """A read-only complex copy of a matrix; the caller's array stays writable."""
+    A = as_matrix(M).copy()
+    A.flags.writeable = False
+    return A
+
+
+@dataclass(frozen=True)
+class _Monomial:
+    """The phased permutation matrix M[i, perm[i]] = phase[i], zero elsewhere."""
+
+    perm: np.ndarray
+    inv: np.ndarray  # inverse permutation
+    phase: np.ndarray
+
+    @classmethod
+    def of(cls, A):
+        """The monomial form of a matrix, or None when it is not square monomial."""
+        n, nonzero = len(A), A != 0
+        perm = nonzero.argmax(axis=1)
+        phase = A[np.arange(n), perm]
+        # exact: square with n nonzeros, at least one in each row and each column
+        if A.shape != (n, n) or nonzero.sum() != n or not phase.all():
+            return None
+        return cls(perm, np.argsort(perm), phase) if nonzero.any(axis=0).all() else None
+
+    def inverse(self) -> "_Monomial":
+        return _Monomial(self.inv, self.perm, 1.0 / self.phase[self.inv])
+
+    def lmul(self, A) -> np.ndarray:
+        """M @ A on the last two axes of A."""
+        return self.phase[:, None] * A[..., self.perm, :]
+
+    def rmul(self, A) -> np.ndarray:
+        """A @ M on the last two axes of A."""
+        return (A * self.phase)[..., self.inv]
+
+
 class KreinForm:
-    """Indefinite hermitian pairing (psi, phi) = psi^dag gram phi."""
+    """Indefinite hermitian pairing (psi, phi) = psi^dag gram phi.
+
+    Adjoints against a monomial gram cost O(n^2) indexing, not a dense solve.
+    """
 
     def __init__(self, gram):
         H = as_matrix(gram)
@@ -194,11 +235,13 @@ class KreinForm:
             raise ValueError("gram must be square")
         if rel_diff(H, H.conj().T) > RTOL:
             raise ValueError("gram must be hermitian")
-        self.gram = H
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_MAX:
+        self.gram = _read_only(H)
+        # a monomial matrix's singular values are the moduli of its phases
+        mono = self._mono = _Monomial.of(H)
+        sv = np.linalg.svd(H, compute_uv=False) if mono is None else np.abs(mono.phase)
+        if sv.min() == 0.0 or sv.max() / sv.min() > COND_MAX:
             raise ValueError("gram is singular or too ill-conditioned")
-        self.cond = float(sv[0] / sv[-1])
+        self.cond = float(sv.max() / sv.min())
 
     @property
     def dim(self) -> int:
@@ -207,26 +250,35 @@ class KreinForm:
     def pair(self, psi, phi) -> complex:
         return complex(np.asarray(psi).conj() @ self.gram @ np.asarray(phi))
 
+    def _between(self, A, conj=False) -> np.ndarray:
+        """H^-1 A H, or H^-1 A conj(H) when ``conj`` is set."""
+        if self._mono is None:
+            return np.linalg.solve(self.gram, A @ (self.gram.conj() if conj else self.gram))
+        m = self._mono
+        right = _Monomial(m.perm, m.inv, m.phase.conj()) if conj else m
+        return m.inverse().lmul(right.rmul(A))
+
     def adjoint(self, T) -> np.ndarray:
         """Krein adjoint H^-1 T^dag H of a linear operator."""
         T = as_matrix(T)
         if T.shape != self.gram.shape:
             raise ValueError("operator dimension does not match the form")
-        return np.linalg.solve(self.gram, T.conj().T @ self.gram)
+        return self._between(T.conj().T)
 
     def adjoint_sign(self, X) -> int:
         """Sign s with X^x = s X, or raise if X is neither symmetric nor antisymmetric."""
         return snap_sign(scalar_coefficient(self.adjoint(X), X))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AntilinearOperator:
-    """The antilinear map psi -> mat @ conj(psi)."""
+    """The antilinear map psi -> mat @ conj(psi); ``mat`` is a read-only copy."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        self.mat = as_matrix(self.mat)
+        object.__setattr__(self, "mat", _read_only(self.mat))
+        object.__setattr__(self, "_mono", _Monomial.of(self.mat))
 
     def __call__(self, psi):
         return self.mat @ np.conj(psi)
@@ -237,7 +289,9 @@ class AntilinearOperator:
 
     def conjugate(self, X) -> np.ndarray:
         """The linear operator K X K^-1 for linear X."""
-        return self.mat @ np.conj(X) @ np.linalg.inv(self.mat)
+        if self._mono is None:
+            return self.mat @ np.conj(X) @ np.linalg.inv(self.mat)
+        return self._mono.inverse().rmul(self._mono.lmul(np.conj(X)))
 
     def parity_sign(self, chi) -> int:
         """Sign s with K chi = s chi K, or raise for inhomogeneous K."""
@@ -248,11 +302,9 @@ class AntilinearOperator:
 
 def antilinear_adjoint(K: AntilinearOperator, form: KreinForm) -> AntilinearOperator:
     """The unique antilinear K^x with (psi, K phi) = conj((K^x psi, phi))."""
-    M = K.mat
-    if M.shape != form.gram.shape:
+    if K.mat.shape != form.gram.shape:
         raise ValueError("operator dimension does not match the form")
-    H = form.gram
-    return AntilinearOperator(np.linalg.solve(H, M.T @ H.conj()))
+    return AntilinearOperator(form._between(K.mat.T, conj=True))
 
 
 @dataclass
@@ -320,13 +372,16 @@ def relate_fundamental_symmetries(eta, nu, form: KreinForm) -> np.ndarray:
 def trace_form(S, T, varpi=None) -> np.ndarray:
     """The matrix B(S_k, T_l) = tr(varpi S_k^dag varpi T_l) of two (m, n, n) stacks.
 
-    ``varpi`` None is the identity.
+    ``varpi`` None is the identity.  B is one matrix product of the
+    flattened stacks, because tr(A T) sums A^T * T entrywise and
+    (varpi S^dag varpi)^T = varpi^T conj(S) varpi^T.
     """
-    WS = S.conj().transpose(0, 2, 1)
+    A = S.conj()
     if varpi is not None:
-        W = as_matrix(varpi)
-        WS = (W[None, :, :] @ WS) @ W
-    return np.einsum("kab,lba->kl", WS, T)
+        WT = as_matrix(varpi).T
+        mono = _Monomial.of(WT)
+        A = WT @ A @ WT if mono is None else mono.lmul(mono.rmul(A))
+    return A.reshape(len(A), -1) @ T.reshape(len(T), -1).T
 
 
 def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):

@@ -6,6 +6,7 @@ nested row-major lists of those pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 from .ist import FiniteAlgebra, IndefiniteTriple
 from .kspace import AntilinearOperator, KreinForm
 from .sm import YukawaSet, ZParams
+
+_YUKAWA_KEYS = ("Ynu", "Ye", "Yu", "Yd", "YR")  # file keys of the YukawaSet fields, in order
 
 
 def encode_matrix(M) -> list:
@@ -95,14 +98,7 @@ def sm_input_from_dict(data: dict):
         n = int(data["N"])
         s = int(data["s"])
         eps_f = int(data["epsF"])
-        yuk = data["yukawas"]
-        y = YukawaSet(
-            decode_matrix(yuk["Ynu"]),
-            decode_matrix(yuk["Ye"]),
-            decode_matrix(yuk["Yu"]),
-            decode_matrix(yuk["Yd"]),
-            decode_matrix(yuk["YR"]),
-        )
+        y = YukawaSet(*(decode_matrix(data["yukawas"][key]) for key in _YUKAWA_KEYS))
     except KeyError as exc:
         raise ValueError(f"model file is missing field {exc}") from exc
     if y.n_gen != n:
@@ -127,17 +123,11 @@ def dump_sm_input(path: str, y: YukawaSet, s: int, eps_f: int, z: ZParams = None
         "s": s,
         "epsF": eps_f,
         "yukawas": {
-            "Ynu": encode_matrix(y.ynu),
-            "Ye": encode_matrix(y.ye),
-            "Yu": encode_matrix(y.yu),
-            "Yd": encode_matrix(y.yd),
-            "YR": encode_matrix(y.yr),
+            key: encode_matrix(getattr(y, f.name))
+            for key, f in zip(_YUKAWA_KEYS, dataclasses.fields(YukawaSet))
         },
     }
     if z is not None:
-        data["z"] = {
-            "alpha": z.alpha, "beta": z.beta, "gamma": z.gamma,
-            "delta": z.delta, "mu": z.mu, "nu": z.nu,
-        }
+        data["z"] = dataclasses.asdict(z)
     with open(path, "w") as fh:
         json.dump(data, fh)

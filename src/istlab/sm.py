@@ -19,8 +19,7 @@ from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, as_matrix
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
-UP_SLOTS = (0, 2, 3, 4)    # nu and the three u colors
-DOWN_SLOTS = (1, 5, 6, 7)  # e and the three d colors
+DOWN_SLOTS = (1, 5, 6, 7)  # e and the three d colors; the rest are up-type
 
 
 def quaternion(alpha, beta) -> np.ndarray:
@@ -108,11 +107,8 @@ def _slot_diag(values, n_gen) -> np.ndarray:
 
 def _lift_right(lam, n_gen) -> np.ndarray:
     """a_R for the C component: lambda on up-type slots, conj on down-type."""
-    vals = np.empty(N_SLOTS, dtype=complex)
-    for i in UP_SLOTS:
-        vals[i] = lam
-    for i in DOWN_SLOTS:
-        vals[i] = np.conj(lam)
+    vals = np.full(N_SLOTS, lam, dtype=complex)
+    vals[list(DOWN_SLOTS)] = np.conj(lam)
     return _slot_diag(vals, n_gen)
 
 

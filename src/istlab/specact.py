@@ -31,8 +31,8 @@ class TorusSpec:
             raise ValueError("need t + s = d with nonnegative parts")
         if self.N < 2:
             raise ValueError("N must be at least 2")
-        if not self.a > 0:
-            raise ValueError("lattice spacing must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("lattice spacing must be positive and finite")
 
     @property
     def L(self) -> float:
@@ -67,7 +67,8 @@ class CutoffFn:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-(u ** 2))
+            with np.errstate(over="ignore"):  # u^2 = inf gives exp(-inf) = 0, the right limit
+                return np.exp(-(u ** 2))
         if self.kind == "exp":
             return np.exp(-u)
         return np.interp(u, *self.params)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import supported_signatures
-from istlab import ncforms
+from conftest import random_yukawas, supported_signatures
+from istlab import ist, ncforms
 from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
     FiniteAlgebra,
@@ -19,6 +21,7 @@ from istlab.ist import (
     triple_dims,
 )
 from istlab.kspace import AntilinearOperator, KreinForm
+from istlab.sm import build_sm
 from istlab.tensor import tensor_ist
 
 
@@ -194,3 +197,42 @@ def test_closure_sees_products_off_the_basis_support():
     assert FiniteAlgebra([sx], [sx]).closure_violation() == pytest.approx(1.0)
     closed = FiniteAlgebra([np.eye(2), sx], [np.eye(2), sx])
     assert closed.closure_violation() <= 1e-15
+
+
+def test_check_axioms_evaluates_once_per_triple(module_of, rng, monkeypatch):
+    evaluated = []
+    evaluate = ist._evaluate_axioms
+    monkeypatch.setattr(ist, "_evaluate_axioms", lambda t: evaluated.append(t) or evaluate(t))
+
+    t = south_triple(module_of, 1, 3)
+    report = check_axioms(t)
+    report.violations.clear()  # each caller gets its own report
+    assert check_axioms(t).ok
+    triple_dims(t)
+    ncforms.one_forms(t)
+    ncforms.junk_two_forms(t)
+    product = tensor_ist(t, t)
+    assert len(evaluated) == 1 and evaluated[0] is t
+    assert check_axioms(product).ok
+    assert len(evaluated) == 2
+
+    model = build_sm(random_yukawas(rng, 1))
+    ncforms.project_two_form(model.triple, np.zeros((32, 32)), varpi=model.varpi)
+    assert check_axioms(model.triple).ok
+    assert len(evaluated) == 3
+
+
+def test_triple_is_frozen_with_read_only_copies(module_of):
+    t = south_triple(module_of, 1, 3)
+    dirac = np.array(t.dirac)
+    triple = IndefiniteTriple(
+        form=t.form, chi=t.chi, cc=t.cc, dirac=dirac, algebra=t.algebra, sigma=t.sigma
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        triple.dirac = dirac
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        triple.sigma = 1
+    with pytest.raises(ValueError, match="read-only"):
+        triple.dirac[0, 0] = 1.0
+    dirac[0, 0] += 1.0  # the caller's array stays writable and is not shared
+    assert triple.dirac[0, 0] == t.dirac[0, 0] != dirac[0, 0]

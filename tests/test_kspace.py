@@ -9,11 +9,13 @@ from istlab.kspace import (
     AntilinearOperator,
     DegenerateProjectionError,
     KreinForm,
+    _Monomial,
     antilinear_adjoint,
     is_fundamental_symmetry,
     real_bilinear_project,
     realspan,
     relate_fundamental_symmetries,
+    trace_form,
 )
 from istlab.sm import build_sm
 
@@ -227,3 +229,106 @@ def test_realspan_matches_full_svd(case, rng):
     assert np.abs(A - (A @ B.T) @ B).max() <= 1e-12 * s[0]
     assert np.abs(span.kernel.T @ A).max() <= 1e-12 * s[0]
     assert_allclose(span.kernel.T @ span.kernel, np.eye(len(mats) - rank), atol=1e-12)
+
+
+# --- monomial operators -------------------------------------------------
+# Every gram, grading and conjugation the library builds is a phased
+# permutation matrix; the monomial route must agree with the dense
+# solve / inv route it replaces.
+
+
+def _monomial_cases(rng):
+    """(label, form, conjugation, varpi) over SM, Clifford and product triples."""
+    from istlab.clifford import convention_pairing
+    from istlab.ist import from_clifford_module
+    from istlab.tensor import tensor_ist
+    from istlab.verify import cached_module, supported_signatures
+
+    for n in (1, 3):
+        model = build_sm(random_yukawas(rng, n))
+        yield f"sm-n{n}", model.triple.form, model.triple.cc, model.varpi
+    for q, p in supported_signatures(8):
+        module = cached_module(q, p)
+        for conv in ("east", "west", "south", "north"):
+            form, cc = convention_pairing(module, conv)
+            yield f"cl({q},{p})-{conv}", form, cc, module.eta_plus
+    for left, right in (((1, 1), (0, 2)), ((2, 2), (1, 3)), ((3, 1), (0, 4))):
+        for c1, c2 in (("east", "west"), ("south", "north")):
+            t = tensor_ist(from_clifford_module(cached_module(*left), c1),
+                           from_clifford_module(cached_module(*right), c2))
+            yield f"{left}x{right}-{c1}/{c2}", t.form, t.cc, t.chi
+
+
+def _einsum_trace_form(S, T, varpi):
+    """The trace form by the elementwise contraction, varpi applied densely."""
+    WS = S.conj().transpose(0, 2, 1)
+    if varpi is not None:
+        WS = varpi @ WS @ varpi
+    return np.einsum("kab,lba->kl", WS, T)
+
+
+def _assert_trace_form_matches(S, T, varpi):
+    got = trace_form(S, T, varpi)
+    W = None if varpi is None else np.asarray(varpi)
+    want = _einsum_trace_form(S, T, W)
+    # |B_kl| <= ||W||_2^2 ||S_k||_F ||T_l||_F bounds every entry
+    scale = np.outer(np.linalg.norm(S, axis=(1, 2)), np.linalg.norm(T, axis=(1, 2)))
+    scale *= 1.0 if W is None else np.linalg.norm(W, 2) ** 2
+    assert (np.abs(got - want) / scale).max() <= 1e-15
+
+
+def test_monomial_route_matches_dense_route(rng):
+    seen = 0
+    for label, form, cc, varpi in _monomial_cases(rng):
+        assert form._mono is not None and cc._mono is not None, label
+        assert _Monomial.of(np.asarray(varpi)) is not None, label
+        H, M, n = form.gram, cc.mat, form.dim
+        X = random_matrix(rng, n)
+        scale = np.abs(X).max()
+        assert np.abs(form.adjoint(X) - np.linalg.solve(H, X.conj().T @ H)).max() <= 1e-15 * scale
+        dense_cc = np.linalg.solve(H, M.T @ H.conj())
+        assert np.abs(antilinear_adjoint(cc, form).mat - dense_cc).max() <= 1e-15, label
+        dense_conj = M @ np.conj(X) @ np.linalg.inv(M)
+        assert np.abs(cc.conjugate(X) - dense_conj).max() <= 1e-15 * scale, label
+        S = np.stack([random_matrix(rng, n) for _ in range(4)])
+        T = np.stack([random_matrix(rng, n) for _ in range(3)])
+        for w in (None, varpi):
+            _assert_trace_form_matches(S, T, w)
+        seen += 1
+    assert seen == 2 + 24 * 4 + 6
+
+
+def test_dense_gram_keeps_the_dense_route(rng):
+    n = 6
+    A = random_matrix(rng, n)
+    gram = A + A.conj().T + 8 * np.diag([1.0, -1.0] * 3)  # hermitian, generically dense
+    form = KreinForm(gram)
+    assert form._mono is None
+    sv = np.linalg.svd(gram, compute_uv=False)
+    assert form.cond == sv[0] / sv[-1]
+    X = random_matrix(rng, n)
+    assert_allclose(form.adjoint(X), np.linalg.solve(gram, X.conj().T @ gram), rtol=0, atol=0)
+    K = AntilinearOperator(random_matrix(rng, n))
+    assert K._mono is None
+    assert_allclose(K.conjugate(X), K.mat @ np.conj(X) @ np.linalg.inv(K.mat), rtol=0, atol=0)
+    S = np.stack([random_matrix(rng, n) for _ in range(3)])
+    _assert_trace_form_matches(S, S, random_matrix(rng, n))
+
+
+def test_monomial_gram_condition_is_the_phase_ratio():
+    form = KreinForm(np.array([[0, 2j, 0], [-2j, 0, 0], [0, 0, -0.5]]))
+    assert form._mono is not None
+    assert form.cond == 4.0
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        KreinForm(np.diag([1.0, -1e-9]))
+
+
+def test_operators_keep_read_only_copies():
+    eta = np.diag([1.0, -1.0]).astype(complex)
+    form, K = KreinForm(eta), AntilinearOperator(eta)
+    eta[0, 0] = 5.0  # the caller's array stays writable, and the copies do not follow
+    assert form.gram[0, 0] == 1.0 and K.mat[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        form.gram[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        K.mat[0, 0] = 2.0

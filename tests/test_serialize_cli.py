@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,32 @@ def test_cli_spectral_action_refuses_underflowing_cutoff(capsys, N):
     torus = ["--d", "2", "--t", "1", "--s", "1", "--N", N, "--L", "1"]
     assert main(["spectral-action", *torus, "--lambda", "1e-200"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_spectral_action_overflowing_cutoff_is_silent(capsys):
+    # Lambda^2 = 1e-300 is normal, but u^2 overflows; exp(-inf) = 0 leaves the null modes
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "64", "--L", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectral-action", *torus, "--lambda", "1e-150", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert float(captured.out.splitlines()[1].split(",")[2]) == 78.0
+
+
+@pytest.mark.parametrize("scan", [[], ["--scan-a", "0.03125:0.125:3"]])
+@pytest.mark.parametrize("N", ["0", "1", "-4"])
+def test_cli_spectral_action_refuses_small_n(capsys, N, scan):
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", N, "--L", "1"]
+    assert main(["spectral-action", *torus, "--lambda", "20", *scan]) == 1
+    assert capsys.readouterr().err == "error: N must be at least 2\n"
+
+
+@pytest.mark.parametrize("L", ["inf", "-inf", "nan", "0"])
+def test_cli_spectral_action_refuses_non_finite_spacing(capsys, L):
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "8", f"--L={L}"]
+    assert main(["spectral-action", *torus, "--lambda", "20"]) == 1
+    assert capsys.readouterr().err.startswith("error: lattice spacing must be positive")
 
 
 def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,9 @@ def test_torus_spec_validation():
         TorusSpec(2, 1, 1, 1, 0.5)
     with pytest.raises(ValueError):
         TorusSpec(2, 1, 1, 8, -0.5)
+    for a in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="^lattice spacing must be positive"):
+            TorusSpec(2, 1, 1, 8, a)
     assert TorusSpec(2, 1, 1, 8, 0.5).L == 4.0
 
 
