@@ -48,17 +48,11 @@ def _cmd_signs(args) -> int:
                 ]
         _emit(rows, ("row", "n=0", "n=2", "n=4", "n=6"), args.format)
     elif args.table == "ko-metric":
-        rows = []
-        for n in EVEN_RESIDUES:
-            q = signs_from_dims(n, n)
-            rows.append((n, q.eps, q.eps2))
+        rows = [(n, signs_from_dims(n, n).eps, signs_from_dims(n, n).eps2) for n in EVEN_RESIDUES]
         _emit(rows, ("n", "eps", "eps2"), args.format)
     elif args.table == "spacetime":
-        rows = []
-        for m in EVEN_RESIDUES:
-            for n in EVEN_RESIDUES:
-                pair = sorted(spacetime_pairs(n, m))
-                rows.append((n, m, str(pair[0]), str(pair[1])))
+        rows = [(n, m, *map(str, sorted(spacetime_pairs(n, m))))
+                for m in EVEN_RESIDUES for n in EVEN_RESIDUES]
         _emit(rows, ("n", "m", "ts_1", "ts_2"), args.format)
     else:  # cardinal
         rows = [

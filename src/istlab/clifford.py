@@ -14,16 +14,17 @@ matrices are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dims import SignQuadruple, cardinal_table, signs_from_dims
 from .kspace import (
-    RANK_RTOL,
     UNIT_TOL,
     AntilinearOperator,
     KreinForm,
+    _block_svd,
     antilinear_adjoint,
     as_matrix,
     realspan,
@@ -118,12 +119,7 @@ def _fock_ladder(nmodes: int, eps: list) -> tuple[list, list]:
 
 
 def _perm_parity(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
 
 
 def _fock_data(q2: int, p2: int):
@@ -146,11 +142,9 @@ def _fock_data(q2: int, p2: int):
     sizes = np.array([_popcount(I) for I in range(dim)])
     chi = np.diag(np.where(sizes % 2, -1.0, 1.0)).astype(complex)
 
-    weights = np.ones(dim)
-    for j in range(nmodes):
-        if eps[j] < 0:
-            weights[[I for I in range(dim) if I & (1 << j)]] *= -1
-    gram = np.diag(weights).astype(complex)
+    # the first q2/2 modes have squared norm -1: each occupied one flips the sign
+    negative = (1 << (q2 // 2)) - 1
+    gram = np.diag([(-1.0) ** _popcount(I & negative) for I in range(dim)]).astype(complex)
 
     # Hodge duality on basis monomials, phase fixed to 1
     J = np.zeros((dim, dim), dtype=complex)
@@ -337,13 +331,11 @@ def cc_solution_space(module: CliffordModule) -> list:
     other space is returned as an orthonormal basis.
     """
     n = module.dim
-    # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M; the d n^2 x n^2
-    # system is tall, so the economy SVD keeps every right-singular vector
+    # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M; the solutions are the left
+    # null vectors of the n^2 x d n^2 conjugate transpose of that system, built directly
     eye = np.eye(n)
-    A = np.vstack([np.kron(eye, ga.conj().T) - np.kron(ga, eye) for ga in module.gammas])
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > s[0] * RANK_RTOL))
-    basis = [v.conj().reshape(n, n) for v in vt[rank:]]
+    AH = np.hstack([np.kron(eye, ga) - np.kron(ga.conj().T, eye) for ga in module.gammas])
+    basis = [v.reshape(n, n) for v in _block_svd(AH)[5].T]
     if len(basis) == 1:
         M = basis[0]
         basis = [M / np.sqrt(abs(scalar_coefficient(M @ np.conj(M), eye)))]

@@ -230,8 +230,8 @@ def one_form_generators(triple: IndefiniteTriple) -> tuple:
         c = D @ b - b @ D
         if _maxabs(c) > COMM_VANISH * scale:
             comms.append((j, c))
-    pairs = np.array([a @ c for a in triple.algebra.basis for _, c in comms])
-    return comms, pairs.reshape(len(pairs), n, n)
+    C = np.array([c for _, c in comms]).reshape(-1, n, n)
+    return comms, (np.stack(triple.algebra.basis)[:, None] @ C[None]).reshape(-1, n, n)
 
 
 def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:

@@ -49,27 +49,94 @@ def as_matrix(M) -> np.ndarray:
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Coerce a list or (m, n1, n2) stack of equal-shape matrices to an array.
+    """Coerce a list or (m, n1, n2) stack of equal-shape matrices to a C-ordered array.
 
     Only a stack can be empty, because an empty list carries no shape.
     """
-    M = np.asarray(mats, dtype=np.complex128)
+    M = np.ascontiguousarray(mats, dtype=np.complex128)
     if M.ndim != 3:
         raise ValueError("expected a list or stack of equal-shape matrices")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
     return M
 
 
 def _support(flat) -> tuple:
     """Masks of the real and imaginary coordinates nonzero in some row of flat."""
-    return (flat.real != 0).any(axis=0), (flat.imag != 0).any(axis=0)
+    nonzero = (flat.view(np.float64) != 0).any(axis=0)
+    return nonzero[0::2], nonzero[1::2]
+
+
+def _coords(support) -> np.ndarray:
+    """Positions of the supported coordinates in the (re, im) float view, real parts first."""
+    return np.concatenate([2 * np.flatnonzero(support[0]), 2 * np.flatnonzero(support[1]) + 1])
 
 
 def _realify(flat, support) -> np.ndarray:
-    """Rows of flat as real vectors over the supported coordinates only."""
-    re_on, im_on = support
-    return np.concatenate([flat.real[:, re_on], flat.imag[:, im_on]], axis=1)
+    """Rows of flat as real vectors over the supported coordinates, which hold any inf or nan."""
+    A = np.take(flat.view(np.float64), _coords(support), axis=1)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
+    return A
+
+
+def _complexify(V, support) -> np.ndarray:
+    """The inverse of ``_realify``, as a gather: much faster than a scatter into zeros."""
+    source = np.full(2 * support[0].size, V.shape[1])  # an appended zero column
+    source[_coords(support)] = np.arange(V.shape[1])
+    return np.take(np.column_stack([V, np.zeros(len(V))]), source, axis=1).view(np.complex128)
+
+
+def _block_svd(A) -> tuple:
+    """The SVD of A as one batched SVD per block shape of its pattern A != 0.
+
+    A nonzero A[i, j] joins row i and column j; up to a permutation A is
+    block-diagonal with a block per connected component, split on exact
+    zeros only.  One component is one SVD of A.  The rank rule is global:
+    s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank,
+    gap, kept right-singular vectors as rows, discarded left ones as columns).
+    """
+    m, k = A.shape
+    r, c = np.divmod(np.flatnonzero(A != 0), k)
+    # label = least row index of the component: relax along the edges, then jump
+    label, col = np.arange(m), np.full(k, m)
+    while True:
+        np.minimum.at(col, c, label[r])
+        new = label.copy()
+        np.minimum.at(new, r, col[c])
+        if np.array_equal(new[new], label):
+            break
+        label = new[new]
+    roots = label == np.arange(m)
+    nc = int(roots.sum())
+    # component numbers; a column with no nonzero joins a last one of no shape, dropped
+    number = np.append(np.cumsum(roots) - 1, nc)
+    row, col = number[label], number[col]
+    shape = np.bincount(row, minlength=nc) * (k + 1) + np.bincount(col, minlength=nc + 1)[:nc]
+    shape = np.append(shape, -1)
+    rows, cols = np.argsort(row, kind="stable"), np.argsort(col, kind="stable")
+    blocks = []
+    for size in np.unique(shape[:nc]):
+        nr, nk = divmod(int(size), k + 1)
+        R = rows[shape[row[rows]] == size].reshape(-1, nr)  # components in number order
+        C = cols[shape[col[cols]] == size].reshape(len(R), nk)
+        # all nr left-singular vectors are needed for the kernel
+        svd = np.linalg.svd(A[R[:, :, None], C[:, None, :]], full_matrices=nr > nk)
+        blocks.append((R, C, *svd))
+
+    s = np.concatenate([b[3].ravel() for b in blocks] + [np.zeros(0)])
+    s = np.concatenate([np.sort(s)[::-1], np.zeros(min(m, k) - s.size)])
+    cutoff = float(s[0] * RANK_RTOL) if s.size and s[0] > 0 else 0.0
+    rank = int(np.sum(s > cutoff))
+    gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
+    span, kernel = np.zeros((rank, k), A.dtype), np.zeros((m, m - rank), A.dtype)
+    kept, n_span, n_kernel = [np.zeros(0)], 0, 0
+    for R, C, u, sv, vt in blocks:
+        g, i = np.nonzero(sv > cutoff)  # a prefix of each block's descending values
+        span[n_span + np.arange(g.size)[:, None], C[g]] = vt[g, i]
+        kept.append(sv[g, i])
+        g, j = np.nonzero(np.arange(R.shape[1]) >= np.sum(sv > cutoff, axis=1)[:, None])
+        kernel[R[g], n_kernel + np.arange(g.size)[:, None]] = u[g, :, j]
+        n_span, n_kernel = n_span + kept[-1].size, n_kernel + g.size
+    return s, cutoff, rank, gap, span[np.argsort(-np.concatenate(kept), kind="stable")], kernel
 
 
 @dataclass
@@ -114,11 +181,12 @@ def in_span(span: RealSpan, X) -> bool:
 
 
 def realspan(mats) -> RealSpan:
-    """Span basis and coefficient kernel of matrices from one real SVD.
+    """Span basis and coefficient kernel of matrices from one realified SVD.
 
     A real or imaginary coordinate that is exactly zero in every matrix
     adds nothing to the span or the kernel, so only the others are
-    realified.  The singular values are padded with exact zeros to the
+    realified, and ``_block_svd`` splits the SVD over the components of
+    what remains.  The singular values are padded with exact zeros to the
     count a realification over all coordinates would give.  The rank
     counts singular values above s[0] * RANK_RTOL.  An empty (0, n1, n2)
     stack gives the zero span.
@@ -127,22 +195,11 @@ def realspan(mats) -> RealSpan:
     m, shape = M.shape[0], M.shape[1:]
     flat = M.reshape(m, shape[0] * shape[1])
     support = _support(flat)
-    A = _realify(flat, support)
-    # all m left-singular vectors are needed for the kernel
-    u, s, vt = np.linalg.svd(A, full_matrices=m > A.shape[1])
-    cutoff = float(s[0] * RANK_RTOL) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
-    gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
+    s, cutoff, rank, gap, vt, kernel = _block_svd(_realify(flat, support))
     s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
-
-    basis = np.zeros((rank, flat.shape[1]), dtype=np.complex128)
-    re_on, im_on = support
-    n_re = int(re_on.sum())
-    basis.real[:, re_on] = vt[:rank, :n_re]
-    basis.imag[:, im_on] = vt[:rank, n_re:]
     return RealSpan(
-        basis=basis.reshape(rank, *shape),
-        kernel=u[:, rank:],
+        basis=_complexify(vt, support).reshape(rank, *shape),
+        kernel=kernel,
         singular_values=s,
         cutoff=cutoff,
         rank=rank,

@@ -40,15 +40,12 @@ class YukawaSet:
     yr: np.ndarray
 
     def __post_init__(self):
-        mats = {}
         for name in ("ynu", "ye", "yu", "yd", "yr"):
             m = as_matrix(getattr(self, name))
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
-            mats[name] = m
             setattr(self, name, m)
-        sizes = {m.shape[0] for m in mats.values()}
-        if len(sizes) != 1:
+        if len({m.shape[0] for m in (self.ynu, self.ye, self.yu, self.yd, self.yr)}) != 1:
             raise ValueError("all Yukawa matrices must share one size")
 
     @property

@@ -47,7 +47,7 @@ class CutoffFn:
     """Cutoff profile f for the action Tr f(-Delta/Lambda^2).
 
     ``gaussian`` is exp(-u^2) with an analytic Fourier transform;
-    ``exp`` is exp(-u) (bounded use only: the lattice spectrum is finite);
+    ``exp`` is exp(-u), which can overflow on Lorentzian modes (refused);
     ``sampled`` interpolates tabulated (u, f(u)) values and supports the
     eigenvalue-grid path only.
     """
@@ -66,12 +66,11 @@ class CutoffFn:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "gaussian":
-            with np.errstate(over="ignore"):  # u^2 = inf gives exp(-inf) = 0, the right limit
-                return np.exp(-(u ** 2))
-        if self.kind == "exp":
-            return np.exp(-u)
-        return np.interp(u, *self.params)
+        if self.kind == "sampled":
+            return np.interp(u, *self.params)
+        # u^2 = inf gives exp(-inf) = 0, the right limit; spectral_action refuses exp(-u) = inf
+        with np.errstate(over="ignore"):
+            return np.exp(-(u ** 2)) if self.kind == "gaussian" else np.exp(-u)
 
     @property
     def has_fourier(self) -> bool:
@@ -182,7 +181,7 @@ def spectral_action(
     path needs an integrable transform (gaussian cutoff).  Both agree to
     1e-6 relative where both run.  Both stream: the grid in slabs, the
     quadrature in node blocks, so memory stays bounded by N^(d-1) values
-    and by the node count n, never by N^d or n N.
+    and by the node count n, never by N^d or n N.  A non-finite action raises.
     """
     if not (lam_cut > 0 and np.finfo(float).tiny <= float(lam_cut) * float(lam_cut) < math.inf):
         raise ValueError(f"Lambda = {lam_cut!r} must be positive with a finite, normal square")
@@ -191,7 +190,8 @@ def spectral_action(
     if method == "auto":
         method = "grid" if spec.N ** spec.d <= GRID_LIMIT else "fourier"
     if method == "grid":
-        return math.fsum(float(f(-slab / lam_cut ** 2).sum()) for slab in _grid_slabs(spec))
+        slabs = _grid_slabs(spec)
+        return _finite(math.fsum(float(f(-slab / lam_cut ** 2).sum()) for slab in slabs))
     if not f.has_fourier:
         raise ValueError("grid too large and cutoff has no Fourier transform")
     if 4001 * spec.N > FOURIER_LIMIT:  # n >= 4001 below; refuse before building the spectrum
@@ -225,7 +225,14 @@ def spectral_action(
         tr = np.cos(phase) @ mult - 1j * (np.sin(phase) @ mult)
         integrand = (f.fourier(k[i:i + rows]) * tr ** spec.t * np.conj(tr) ** spec.s).real
         total += float(w[i:i + rows] @ integrand)
-    return float(2.0 * total * h / 3.0)
+    return _finite(float(2.0 * total * h / 3.0))
+
+
+def _finite(S: float) -> float:
+    """The action S, refused when it overflowed to inf or nan."""
+    if not math.isfinite(S):
+        raise ValueError(f"spectral action {S} is not finite: the cutoff overflows")
+    return S
 
 
 def heat_kernel_limit_check(spec: TorusSpec, theta: float) -> float:

@@ -9,6 +9,7 @@ scaling disagrees with them.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -52,23 +53,12 @@ class CriterionResult:
 
 
 def supported_signatures(max_dim: int = 8):
-    out = []
-    for d in range(2, max_dim + 1, 2):
-        for q in range(d + 1):
-            p = d - q
-            if q % 2 == p % 2:
-                out.append((q, p))
-    return out
+    return [(q, d - q) for d in range(2, max_dim + 1, 2) for q in range(d + 1)]
 
 
-_MODULE_CACHE = {}
-
-
+@functools.cache
 def cached_module(q: int, p: int):
-    key = (q, p)
-    if key not in _MODULE_CACHE:
-        _MODULE_CACHE[key] = build(Signature(q, p))
-    return _MODULE_CACHE[key]
+    return build(Signature(q, p))
 
 
 def random_yukawas(rng, n: int, s: int = -1, eps_f: int = -1) -> sm.YukawaSet:

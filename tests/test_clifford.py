@@ -17,7 +17,7 @@ from istlab.clifford import (
     verify_relations,
 )
 from istlab.dims import dims_from_signs, mod8, sign_a
-from istlab.kspace import is_fundamental_symmetry, scalar_coefficient, snap_sign
+from istlab.kspace import RANK_RTOL, is_fundamental_symmetry, scalar_coefficient, snap_sign
 
 
 def test_signature_validation():
@@ -216,6 +216,33 @@ def test_doubled_module_solution_spaces(module_of):
         assert len(cc) == 4
         for M in cc:
             assert max(np.abs(M @ np.conj(g) - g @ M).max() for g in gammas) <= 1e-12
+
+
+def _dense_cc_solution_space(gammas):
+    """Null space of the full complex system M conj(gamma^a) - gamma^a M = 0 by one SVD."""
+    n = len(gammas[0])
+    eye = np.eye(n)
+    A = np.vstack([np.kron(eye, g.conj().T) - np.kron(g, eye) for g in gammas])
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    return vt[int(np.sum(s > s[0] * RANK_RTOL)):].conj().T
+
+
+def _projector(vectors):
+    Q, _ = np.linalg.qr(np.stack([np.ravel(v) for v in vectors], axis=1))
+    return Q @ Q.conj().T
+
+
+def test_cc_solution_space_matches_dense_svd(module_of):
+    # the component-wise SVD must find the space one SVD of the whole system finds
+    cases = [module_of(q, p).gammas for q, p in supported_signatures(6)]
+    cases += [[np.kron(np.eye(2), g) for g in module_of(q, p).gammas] for q, p in ((1, 3), (0, 2))]
+    for gammas in cases:
+        n = len(gammas[0])
+        module = dataclasses.replace(module_of(1, 1), dim=n, gammas=gammas)
+        want = _dense_cc_solution_space(gammas)
+        got = cc_solution_space(module)
+        assert len(got) == want.shape[1]
+        assert np.abs(_projector(got) - want @ want.conj().T).max() <= 1e-12
 
 
 def test_pin_norms(module_of):

@@ -236,3 +236,12 @@ def test_triple_is_frozen_with_read_only_copies(module_of):
         triple.dirac[0, 0] = 1.0
     dirac[0, 0] += 1.0  # the caller's array stays writable and is not shared
     assert triple.dirac[0, 0] == t.dirac[0, 0] != dirac[0, 0]
+
+
+def test_one_form_generators_match_the_pairwise_products(rng):
+    # the batched product gives the i-major stack of the loop it replaced, bit for bit
+    for n in (1, 3):
+        triple = build_sm(random_yukawas(rng, n)).triple
+        comms, pairs = ist.one_form_generators(triple)
+        loop = np.array([a @ c for a in triple.algebra.basis for _, c in comms])
+        assert pairs.shape == loop.shape and np.array_equal(pairs, loop)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas
+from istlab.clifford import Signature, _hermitian_basis, build
 from istlab.ist import one_form_generators
 from istlab.kspace import (
     RANK_RTOL,
@@ -10,6 +11,7 @@ from istlab.kspace import (
     DegenerateProjectionError,
     KreinForm,
     _Monomial,
+    _block_svd,
     antilinear_adjoint,
     is_fundamental_symmetry,
     real_bilinear_project,
@@ -204,31 +206,142 @@ def _realify_all(mats):
     return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
 
 
-@pytest.mark.parametrize("case", ["sm-n1", "sm-n3", "dense"])
-def test_realspan_matches_full_svd(case, rng):
+def _robinson_images(gammas):
+    """The stack gamma^a dag F - F gamma^a over the hermitian basis F, as in clifford."""
+    n = len(gammas[0])
+    H = _hermitian_basis(n)
+    g = np.stack(gammas)
+    images = g.conj().transpose(0, 2, 1)[None] @ H[:, None] - H[:, None] @ g[None]
+    return images.reshape(n * n, len(g) * n, n)
+
+
+def _component_count(A):
+    """Connected components of the rows and columns of A joined by its nonzeros (BFS)."""
+    m, k = A.shape
+    seen_rows, seen_cols, count = set(), set(), 0
+    for start in range(m):
+        if start in seen_rows:
+            continue
+        count += 1
+        todo = [start]
+        seen_rows.add(start)
+        while todo:
+            for j in np.flatnonzero(A[todo.pop()]):
+                if j not in seen_cols:
+                    seen_cols.add(j)
+                    for i in np.flatnonzero(A[:, j]):
+                        if i not in seen_rows:
+                            seen_rows.add(i)
+                            todo.append(i)
+    return count
+
+
+def _realspan_case(case, rng):
+    """The matrices of a named case and whether their pattern splits into components."""
     if case == "dense":
         mats = [random_matrix(rng, 5) for _ in range(9)]
         mats.append(mats[0] - 2.5 * mats[3])  # one exact dependency
-    else:
+        return np.stack(mats), False
+    if case.startswith("sm"):
         model = build_sm(random_yukawas(rng, int(case[-1])))
-        _, mats = one_form_generators(model.triple)
-    A = _realify_all(mats)
+        return one_form_generators(model.triple)[1], True
+    if case.startswith("robinson"):
+        q, p = (int(x) for x in case.split("-")[1:])
+        return _robinson_images(build(Signature(q, p)).gammas), True
+    if case == "doubled":
+        gammas = [np.kron(np.eye(2), g) for g in build(Signature(1, 3)).gammas]
+        return _robinson_images(gammas), True
+    if case == "tiny-block":  # below the global cutoff, though large within its own block
+        mats = np.zeros((4, 3, 3), dtype=complex)
+        mats[:2, 0] = rng.normal(size=(2, 3))
+        mats[2:, 1:] = 1e-13 * rng.normal(size=(2, 2, 3))
+        return mats, True
+    if case == "zero-matrix":  # its row is a component without columns
+        mats = [random_matrix(rng, 3), np.zeros((3, 3)), random_matrix(rng, 3)]
+        mats[2][:, 0] = mats[0][:, 1:] = 0
+        return np.stack(mats), True
+    return np.zeros((0, 4, 4), dtype=complex), False  # empty
+
+
+@pytest.mark.parametrize("case", ["sm-n1", "sm-n3", "dense", "robinson-2-2", "robinson-1-5",
+                                  "robinson-3-3", "doubled", "tiny-block", "zero-matrix",
+                                  "empty"])
+def test_realspan_matches_full_svd(case, rng):
+    mats, split = _realspan_case(case, rng)
+    A = _realify_all(mats).reshape(len(mats), 2 * mats.shape[1] * mats.shape[2])
+    assert (_component_count(A) > 1) == split
     s = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(s > s[0] * RANK_RTOL))
+    rank = int(np.sum(s > s[0] * RANK_RTOL)) if s.size else 0
 
     span = realspan(mats)
     assert span.rank == rank
     assert span.kernel.shape == (len(mats), len(mats) - rank)
     assert span.singular_values.shape == s.shape
-    assert np.abs(span.singular_values - s).max() <= 1e-12 * s[0]
+    assert np.abs(span.singular_values - s).max(initial=0.0) <= 1e-12 * s.max(initial=0.0)
     kept = s[:rank]
-    assert np.abs(span.singular_values[:rank] - kept).max() <= 1e-12 * kept.min()
+    err = np.abs(span.singular_values[:rank] - kept).max(initial=0.0)
+    assert err <= 1e-12 * kept.min(initial=1.0)
     # orthonormal basis of the same span; kernel vectors annihilate the matrices
-    B = _realify_all(span.basis)
+    B = _realify_all(span.basis).reshape(rank, A.shape[1])
     assert_allclose(B @ B.T, np.eye(rank), atol=1e-12)
-    assert np.abs(A - (A @ B.T) @ B).max() <= 1e-12 * s[0]
-    assert np.abs(span.kernel.T @ A).max() <= 1e-12 * s[0]
+    assert np.abs(A - (A @ B.T) @ B).max(initial=0.0) <= 1e-12 * s.max(initial=0.0)
+    assert np.abs(span.kernel.T @ A).max(initial=0.0) <= 1e-12 * s.max(initial=0.0)
     assert_allclose(span.kernel.T @ span.kernel, np.eye(len(mats) - rank), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_connected_realspan_is_one_svd_bit_for_bit(m, rng):
+    # a connected pattern takes a single SVD of the realified matrix, unchanged
+    mats = np.stack([random_matrix(rng, 4) for _ in range(m)])
+    mats[:, 0, 0] = 0  # a coordinate the realification drops
+    flat = mats.reshape(m, -1)
+    re_on, im_on = (flat.real != 0).any(axis=0), (flat.imag != 0).any(axis=0)
+    A = np.concatenate([flat.real[:, re_on], flat.imag[:, im_on]], axis=1)
+    assert _component_count(A) == 1
+    u, s, vt = np.linalg.svd(A, full_matrices=m > A.shape[1])
+    rank = int(np.sum(s > s[0] * RANK_RTOL))
+    basis = np.zeros((rank, flat.shape[1]), dtype=complex)
+    basis.real[:, re_on] = vt[:rank, :int(re_on.sum())]
+    basis.imag[:, im_on] = vt[:rank, int(re_on.sum()):]
+
+    span = realspan(mats)
+    assert np.array_equal(span.singular_values, np.concatenate([s, np.zeros(min(m, 32) - s.size)]))
+    assert (span.rank, span.cutoff) == (rank, s[0] * RANK_RTOL)
+    assert span.gap == (s[rank] / s[rank - 1] if rank < s.size else 0.0)
+    assert np.array_equal(span.basis, basis.reshape(rank, 4, 4))
+    assert np.array_equal(span.kernel, u[:, rank:])
+
+
+def test_block_svd_matches_one_svd(rng):
+    # complex blocks of several shapes, tall and wide, scattered by a permutation,
+    # with all-zero rows and columns, against one SVD of the whole matrix
+    shapes = [(3, 2), (3, 2), (2, 5), (1, 1), (4, 4)]
+    m, k = sum(r for r, _ in shapes) + 2, sum(c for _, c in shapes) + 3
+    A = np.zeros((m, k), dtype=complex)
+    r0 = c0 = 0
+    for r, c in shapes:
+        A[r0:r0 + r, c0:c0 + c] = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        r0, c0 = r0 + r, c0 + c
+    A[3:6, 2:4] = np.outer(rng.normal(size=3), rng.normal(size=2))  # a rank-1 block
+    A = A[rng.permutation(m)][:, rng.permutation(k)]
+    assert _component_count(A) == len(shapes) + 2  # the zero rows are components too
+    u, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > s[0] * RANK_RTOL))
+
+    got_s, cutoff, got_rank, gap, span, kernel = _block_svd(A)
+    assert got_rank == rank and abs(cutoff - s[0] * RANK_RTOL) <= 1e-12 * cutoff
+    assert np.abs(got_s - s).max() <= 1e-12 * s[0]
+    assert np.abs(span @ span.conj().T - np.eye(rank)).max() <= 1e-12
+    assert np.abs(span.conj().T @ span - vt[:rank].conj().T @ vt[:rank]).max() <= 1e-12
+    assert np.abs(kernel @ kernel.conj().T - u[:, rank:] @ u[:, rank:].conj().T).max() <= 1e-12
+
+
+def test_realspan_rejects_non_finite_entries():
+    for bad in (np.inf, np.nan, 1j * np.inf):
+        mats = np.zeros((2, 2, 2), dtype=complex)
+        mats[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            realspan(mats)
 
 
 # --- monomial operators -------------------------------------------------

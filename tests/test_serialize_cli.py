@@ -181,6 +181,18 @@ def test_cli_spectral_action_overflowing_cutoff_is_silent(capsys):
     assert float(captured.out.splitlines()[1].split(",")[2]) == 78.0
 
 
+@pytest.mark.parametrize("scan", [[], ["--scan-a", "0.0078125:0.03125:3"]])
+def test_cli_spectral_action_refuses_an_infinite_action(capsys, scan):
+    # exp(-u) overflows on the Lorentzian modes at Lambda = 1: S = inf is an error, not a result
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "64", "--L", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectral-action", *torus, "--lambda", "1", "--cutoff", "exp", *scan])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: spectral action inf is not finite")
+
+
 @pytest.mark.parametrize("scan", [[], ["--scan-a", "0.03125:0.125:3"]])
 @pytest.mark.parametrize("N", ["0", "1", "-4"])
 def test_cli_spectral_action_refuses_small_n(capsys, N, scan):
