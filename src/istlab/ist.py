@@ -4,6 +4,10 @@ A triple bundles a Krein form, a grading chi, an antilinear charge
 conjugation, a Dirac operator and a represented real *-algebra.  All
 checks are numerical: each axiom reports its worst violation and the
 triple passes when every one is below tolerance.
+
+The library's algebra elements and their opposites are phased partial permutations
+(``kspace._Monomial``) with phases 1, -1, i or -i, so the algebra products gather rows or
+columns, bit for bit equal to the dense products that non-monomial elements keep.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .kspace import (
     MEMBER_TOL,
     AntilinearOperator,
     KreinForm,
+    _Monomial,
     _read_only,
     antilinear_adjoint,
     as_matrix,
@@ -35,7 +40,7 @@ class FiniteAlgebra:
 
     ``involution`` lists the images of the starred basis elements in the
     same order.  Closure under multiplication is verified numerically, not
-    imposed symbolically.
+    imposed symbolically.  The images are read-only copies, so memos stay valid.
     """
 
     basis: list
@@ -43,8 +48,8 @@ class FiniteAlgebra:
     labels: list = None
 
     def __post_init__(self):
-        self.basis = [as_matrix(b) for b in self.basis]
-        self.involution = [as_matrix(b) for b in self.involution]
+        self.basis = [_read_only(b) for b in self.basis]
+        self.involution = [_read_only(b) for b in self.involution]
         if len(self.basis) != len(self.involution):
             raise ValueError("basis and involution images must align")
         if self.labels is None:
@@ -66,12 +71,20 @@ class FiniteAlgebra:
             return self._closure
         B = np.stack(self.basis)
         span = realspan(B)
+        monos = self._monomials()
         worst = 0.0
-        for a in B:  # one row of products at a time bounds the memory
-            norms, dists = span.residuals(a @ B)
+        for i, a in enumerate(B):  # one row of products at a time bounds the memory
+            norms, dists = span.residuals(a @ B if monos is None else monos[i].lmul(B))
             worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
         self._closure = worst
         return self._closure
+
+    def _monomials(self):
+        """The monomial forms of the basis, or None when some element is not monomial."""
+        if "_mono" not in self.__dict__:
+            forms = [_Monomial.of(b) for b in self.basis]
+            self._mono = None if any(m is None for m in forms) else forms
+        return self._mono
 
 
 def scalar_algebra(n: int) -> FiniteAlgebra:
@@ -165,9 +178,7 @@ def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
     v["cc_homogeneous"] = _sign_defect(M @ np.conj(chi), chi @ M)
     v["cc_dirac_commute"] = _maxabs(M @ np.conj(D) - D @ M)
 
-    v["rep_even"] = max(
-        (_maxabs(chi @ b - b @ chi) for b in triple.algebra.basis), default=0.0
-    )
+    v["rep_even"] = _worst_commutator(chi, triple.algebra.basis, triple.algebra._monomials())
     v["rep_involutive"] = max(
         (
             _maxabs(form.adjoint(b) - binv)
@@ -197,21 +208,37 @@ def opposite(triple: IndefiniteTriple, X) -> np.ndarray:
     return triple.cc.conjugate(triple.form.adjoint(X))
 
 
-def _worst_opposite_commutator(triple: IndefiniteTriple, ops) -> float:
-    """max ||[x, pi(b)^o]|| over x in ops and algebra basis elements b."""
+def _opposites(triple: IndefiniteTriple) -> tuple:
+    """The matrices pi(b)^o over the basis, and their monomial forms or None."""
     opp = [opposite(triple, b) for b in triple.algebra.basis]
-    return max((_maxabs(x @ bo - bo @ x) for x in ops for bo in opp), default=0.0)
+    forms = [_Monomial.of(bo) for bo in opp]
+    return opp, None if any(m is None for m in forms) else forms
+
+
+def _worst_commutator(X, mats, monos) -> float:
+    """max |[X, b]| over b in mats for a matrix or stack X; by gathers when ``monos`` is given."""
+    if monos is None:
+        return max((_maxabs(X @ b - b @ X) for b in mats), default=0.0)
+    return max((m.commutator_norm(X) for m in monos), default=0.0)
+
+
+def _dirac_commutators(triple: IndefiniteTriple) -> np.ndarray:
+    """The (m, n, n) stack of [D, pi(b)] over the algebra basis."""
+    D, n, monos = triple.dirac, triple.dim, triple.algebra._monomials()
+    if monos is None:
+        return np.array([D @ b - b @ D for b in triple.algebra.basis]).reshape(-1, n, n)
+    return np.array([m.rmul(D) - m.lmul(D) for m in monos]).reshape(-1, n, n)
 
 
 def order_zero(triple: IndefiniteTriple) -> float:
     """max ||[pi(a), pi(b)^o]|| over algebra basis pairs."""
-    return _worst_opposite_commutator(triple, triple.algebra.basis)
+    basis, n = triple.algebra.basis, triple.dim
+    return _worst_commutator(np.array(basis).reshape(-1, n, n), *_opposites(triple))
 
 
 def first_order(triple: IndefiniteTriple) -> float:
     """max ||[[D, pi(a)], pi(b)^o]|| over algebra basis pairs."""
-    D = triple.dirac
-    return _worst_opposite_commutator(triple, [D @ a - a @ D for a in triple.algebra.basis])
+    return _worst_commutator(_dirac_commutators(triple), *_opposites(triple))
 
 
 def one_form_generators(triple: IndefiniteTriple) -> tuple:
@@ -222,16 +249,18 @@ def one_form_generators(triple: IndefiniteTriple) -> tuple:
     and every such commutator, i-major.  Pairs whose commutator vanishes
     are dropped; the real span is unchanged.
     """
-    D = triple.dirac
-    n = triple.dim
-    scale = max(1.0, _maxabs(D))
-    comms = []
-    for j, b in enumerate(triple.algebra.basis):
-        c = D @ b - b @ D
-        if _maxabs(c) > COMM_VANISH * scale:
-            comms.append((j, c))
-    C = np.array([c for _, c in comms]).reshape(-1, n, n)
-    return comms, (np.stack(triple.algebra.basis)[:, None] @ C[None]).reshape(-1, n, n)
+    n, monos = triple.dim, triple.algebra._monomials()
+    scale = max(1.0, _maxabs(triple.dirac))
+    every = _dirac_commutators(triple)
+    kept = [j for j, c in enumerate(every) if _maxabs(c) > COMM_VANISH * scale]
+    C = every[kept]
+    comms = list(zip(kept, C))
+    if monos is None:
+        return comms, (np.stack(triple.algebra.basis)[:, None] @ C[None]).reshape(-1, n, n)
+    pairs = np.empty((len(monos), *C.shape), complex)
+    for a, out in zip(monos, pairs):
+        out[...] = a.lmul(C)
+    return comms, pairs.reshape(-1, n, n)
 
 
 def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:

@@ -18,6 +18,8 @@ definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -91,8 +93,8 @@ def _block_svd(A) -> tuple:
     A nonzero A[i, j] joins row i and column j; up to a permutation A is
     block-diagonal with a block per connected component, split on exact
     zeros only.  One component is one SVD of A.  The rank rule is global:
-    s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank,
-    gap, kept right-singular vectors as rows, discarded left ones as columns).
+    s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank, gap, span, kernel):
+    span() builds kept right-singular vectors as rows; kernel has discarded left ones as columns.
     """
     m, k = A.shape
     r, c = np.divmod(np.flatnonzero(A != 0), k)
@@ -127,34 +129,44 @@ def _block_svd(A) -> tuple:
     cutoff = float(s[0] * RANK_RTOL) if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
-    span, kernel = np.zeros((rank, k), A.dtype), np.zeros((m, m - rank), A.dtype)
-    kept, n_span, n_kernel = [np.zeros(0)], 0, 0
-    for R, C, u, sv, vt in blocks:
-        g, i = np.nonzero(sv > cutoff)  # a prefix of each block's descending values
-        span[n_span + np.arange(g.size)[:, None], C[g]] = vt[g, i]
-        kept.append(sv[g, i])
+    kernel, n_kernel = np.zeros((m, m - rank), A.dtype), 0
+    for R, _, u, sv, _ in blocks:
         g, j = np.nonzero(np.arange(R.shape[1]) >= np.sum(sv > cutoff, axis=1)[:, None])
         kernel[R[g], n_kernel + np.arange(g.size)[:, None]] = u[g, :, j]
-        n_span, n_kernel = n_span + kept[-1].size, n_kernel + g.size
-    return s, cutoff, rank, gap, span[np.argsort(-np.concatenate(kept), kind="stable")], kernel
+        n_kernel += g.size
+    blocks = [b[1:2] + b[3:] for b in blocks]  # the span needs no left vectors
+
+    def span():
+        rows, kept = np.zeros((rank, k), kernel.dtype), [np.zeros(0)]
+        for C, sv, vt in blocks:
+            g, i = np.nonzero(sv > cutoff)  # a prefix of each block's descending values
+            rows[sum(map(len, kept)) + np.arange(g.size)[:, None], C[g]] = vt[g, i]
+            kept.append(sv[g, i])
+        return rows[np.argsort(-np.concatenate(kept), kind="stable")]
+
+    return s, cutoff, rank, gap, span, kernel
 
 
 @dataclass
 class RealSpan:
     """The real span of matrices M_1..M_m and the kernel of c -> sum c_i M_i.
 
-    ``basis`` is an (rank, n1, n2) array orthonormal for Re tr(S^dag T);
-    the columns of ``kernel`` are an orthonormal basis of the real
+    ``basis``, assembled when first read, is an (rank, n1, n2) array orthonormal for
+    Re tr(S^dag T); the columns of ``kernel`` are an orthonormal basis of the real
     coefficient vectors c with sum c_i M_i = 0 (numerically).
     """
 
-    basis: np.ndarray
     kernel: np.ndarray
     singular_values: np.ndarray
     cutoff: float
     rank: int
     gap: float  # first discarded over last kept singular value, 0 if none
     support: tuple = field(repr=False)  # realified coordinates the span touches
+    _basis: Callable = field(repr=False)  # assembles ``basis``
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self._basis()
 
     def residuals(self, mats) -> tuple:
         """(norms, distances) of each matrix and of its residual off the span.
@@ -195,16 +207,16 @@ def realspan(mats) -> RealSpan:
     m, shape = M.shape[0], M.shape[1:]
     flat = M.reshape(m, shape[0] * shape[1])
     support = _support(flat)
-    s, cutoff, rank, gap, vt, kernel = _block_svd(_realify(flat, support))
+    s, cutoff, rank, gap, span, kernel = _block_svd(_realify(flat, support))
     s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
     return RealSpan(
-        basis=_complexify(vt, support).reshape(rank, *shape),
         kernel=kernel,
         singular_values=s,
         cutoff=cutoff,
         rank=rank,
         gap=gap,
         support=support,
+        _basis=lambda: _complexify(span(), support).reshape(rank, *shape),
     )
 
 
@@ -250,24 +262,26 @@ def _read_only(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Monomial:
-    """The phased permutation matrix M[i, perm[i]] = phase[i], zero elsewhere."""
+    """The phased partial permutation M[i, perm[i]] = phase[i], zero elsewhere."""
 
-    perm: np.ndarray
+    perm: np.ndarray  # a bijection: the zero rows, with phase 0, go to the zero columns
     inv: np.ndarray  # inverse permutation
     phase: np.ndarray
 
     @classmethod
     def of(cls, A):
-        """The monomial form of a matrix, or None when it is not square monomial."""
+        """The monomial form of a square matrix, or None when it is not a partial monomial."""
         n, nonzero = len(A), A != 0
         perm = nonzero.argmax(axis=1)
         phase = A[np.arange(n), perm]
-        # exact: square with n nonzeros, at least one in each row and each column
-        if A.shape != (n, n) or nonzero.sum() != n or not phase.all():
+        rows, cols = phase != 0, nonzero.any(axis=0)
+        # exact: square, with as many nonzeros as nonzero rows and as nonzero columns
+        if A.shape != (n, n) or not nonzero.sum() == rows.sum() == cols.sum():
             return None
-        return cls(perm, np.argsort(perm), phase) if nonzero.any(axis=0).all() else None
+        perm[~rows] = np.flatnonzero(~cols)
+        return cls(perm, np.argsort(perm), phase)
 
-    def inverse(self) -> "_Monomial":
+    def inverse(self) -> "_Monomial":  # only for forms with every phase nonzero
         return _Monomial(self.inv, self.perm, 1.0 / self.phase[self.inv])
 
     def lmul(self, A) -> np.ndarray:
@@ -277,6 +291,14 @@ class _Monomial:
     def rmul(self, A) -> np.ndarray:
         """A @ M on the last two axes of A."""
         return (A * self.phase)[..., self.inv]
+
+    def commutator_norm(self, X) -> float:
+        """max |X @ M - M @ X| over a matrix or stack X, read on the rows and columns M touches."""
+        ph, r = self.phase, np.flatnonzero(self.phase)
+        c = self.perm[r]
+        cols = np.take(X, r, axis=-1) * ph[r] - ph[:, None] * X[..., self.perm[:, None], c]
+        rows = X[..., r[:, None], self.inv] * ph[self.inv] - ph[r, None] * np.take(X, c, axis=-2)
+        return float(max(np.abs(cols).max(initial=0.0), np.abs(rows).max(initial=0.0)))
 
 
 class KreinForm:
@@ -335,7 +357,8 @@ class AntilinearOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _read_only(self.mat))
-        object.__setattr__(self, "_mono", _Monomial.of(self.mat))
+        mono = _Monomial.of(self.mat)  # a singular J keeps the dense route and its error
+        object.__setattr__(self, "_mono", mono if mono is not None and mono.phase.all() else None)
 
     def __call__(self, psi):
         return self.mat @ np.conj(psi)

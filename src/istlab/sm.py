@@ -182,16 +182,11 @@ def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
             e[a, b] = 1
             elements.append((f"m:E{a}{b}", 0, np.zeros((2, 2)), e))
             elements.append((f"m:iE{a}{b}", 0, np.zeros((2, 2)), 1j * e))
-    basis, involution, labels = [], [], []
-    for label, lam, q, m in elements:
-        basis.append(_blockdiag(represent(lam, q, m, n_gen)))
-        involution.append(
-            _blockdiag(represent(np.conj(lam), q.conj().T, m.conj().T, n_gen))
-        )
-        labels.append(label)
-    for m in basis + involution:
-        m.flags.writeable = False
-    return FiniteAlgebra(basis, involution, labels)
+    # generators: FiniteAlgebra keeps read-only copies, so each image is freed once copied
+    basis = (_blockdiag(represent(lam, q, m, n_gen)) for _, lam, q, m in elements)
+    involution = (_blockdiag(represent(np.conj(lam), q.conj().T, m.conj().T, n_gen))
+                  for _, lam, q, m in elements)
+    return FiniteAlgebra(basis, involution, [label for label, *_ in elements])
 
 
 def yukawa_block(y: YukawaSet) -> np.ndarray:

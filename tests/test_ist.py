@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_yukawas, supported_signatures
+from conftest import cached_module, random_yukawas, supported_signatures
 from istlab import ist, ncforms
 from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
@@ -20,8 +20,8 @@ from istlab.ist import (
     scalar_algebra,
     triple_dims,
 )
-from istlab.kspace import AntilinearOperator, KreinForm
-from istlab.sm import build_sm
+from istlab.kspace import COMM_VANISH, AntilinearOperator, KreinForm, realspan
+from istlab.sm import _four_blocks, build_sm, majorana_block, sm_algebra, yukawa_block
 from istlab.tensor import tensor_ist
 
 
@@ -245,3 +245,125 @@ def test_one_form_generators_match_the_pairwise_products(rng):
         comms, pairs = ist.one_form_generators(triple)
         loop = np.array([a @ c for a in triple.algebra.basis for _, c in comms])
         assert pairs.shape == loop.shape and np.array_equal(pairs, loop)
+
+
+def test_algebra_keeps_read_only_copies():
+    A = np.eye(2, dtype=complex)
+    alg = FiniteAlgebra([A], [A])
+    closed = alg.closure_violation()
+    assert closed <= 1e-15
+    A[:] = [[0, 1], [1, 0]]  # the caller's array stays writable, and the algebra does not follow
+    assert np.array_equal(alg.basis[0], np.eye(2)) and np.array_equal(alg.involution[0], np.eye(2))
+    assert alg.closure_violation() == closed
+    assert FiniteAlgebra([A], [A]).closure_violation() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        alg.basis[0][0, 0] = 2.0
+
+
+# --- monomial algebra products ------------------------------------------
+# Every SM, Clifford and product basis element is a phased partial
+# permutation with phases 1, -1, i or -i, so gathers give the dense
+# products exactly and the results below agree bit for bit.
+
+
+def _dense_restatement(t):
+    """(order zero, first order, closure, rep_even, one-form pairs) by dense products."""
+    basis, D = t.algebra.basis, t.dirac
+    opp = [opposite(t, b) for b in basis]
+    comms = [D @ a - a @ D for a in basis]
+
+    def worst(ops):
+        return max((np.abs(x @ bo - bo @ x).max() for x in ops for bo in opp), default=0.0)
+
+    B = np.stack(basis)
+    span = realspan(B)
+    closure = 0.0
+    for a in B:
+        norms, dists = span.residuals(a @ B)
+        closure = max(closure, float((dists / np.maximum(1.0, norms)).max()))
+    rep_even = max(np.abs(t.chi @ b - b @ t.chi).max() for b in basis)
+    scale = max(1.0, np.abs(D).max())
+    kept = [c for c in comms if np.abs(c).max() > COMM_VANISH * scale]
+    pairs = np.array([a @ c for a in basis for c in kept]).reshape(-1, t.dim, t.dim)
+    return worst(basis), worst(comms), closure, rep_even, pairs
+
+
+def _assert_matches_dense_restatement(t, label):
+    oz, fo, closure, rep_even, pairs = _dense_restatement(t)
+    assert order_zero(t) == oz and first_order(t) == fo, label
+    assert t.algebra.closure_violation() == closure, label
+    violations = check_axioms(t).violations
+    assert violations["rep_even"] == rep_even and violations["algebra_closed"] == closure, label
+    got = ist.one_form_generators(t)[1]
+    assert got.shape == pairs.shape and np.array_equal(got, pairs), label
+
+
+def _route_cases(rng):
+    """(label, triple) over SM, perturbed SM, Clifford and product triples."""
+    for n in (1, 3):
+        yield f"sm-n{n}", build_sm(random_yukawas(rng, n)).triple
+    y = random_yukawas(rng, 1)
+    model = build_sm(y)
+    t = model.triple
+    # the perturbations of tests/test_sm.py: a leaked quaternion and a generic Z block
+    basis = [np.array(b) for b in t.algebra.basis]
+    k = t.algebra.labels.index("h:j")
+    basis[k][model.block(2), model.block(2)] += 0.1 * basis[k][model.block(1), model.block(1)]
+    algebra = FiniteAlgebra(basis, t.algebra.involution)
+    yield "sm-leaked-h:j", dataclasses.replace(t, algebra=algebra)
+    Y, M = yukawa_block(y), majorana_block(y)
+    dirac = _four_blocks(-Y.conj().T, Y, -M.conj(), M, -Y.T, Y.conj(), 8)
+    dirac[model.block(1), model.block(3)] = -0.5
+    dirac[model.block(3), model.block(1)] = 0.5
+    yield "sm-generic-z", dataclasses.replace(t, dirac=dirac)
+    for q, p in ((1, 3), (2, 2), (0, 4), (3, 1)):
+        for conv in ("east", "west", "south", "north"):
+            c = from_clifford_module(cached_module(q, p), conv)
+            chi = c.chi
+            yield f"cl({q},{p})-{conv}", c
+            even = FiniteAlgebra([np.eye(c.dim), chi], [np.eye(c.dim), chi])
+            yield f"cl({q},{p})-{conv}-even", dataclasses.replace(c, algebra=even)
+    west = from_clifford_module(cached_module(3, 1), "west")
+    yield "west x sm-n1", tensor_ist(west, t)
+    yield "south x north", tensor_ist(from_clifford_module(cached_module(1, 3), "south"),
+                                      from_clifford_module(cached_module(2, 2), "north"))
+
+
+def test_monomial_products_match_the_dense_restatement(rng):
+    seen = set()
+    for label, t in _route_cases(rng):
+        assert ist._opposites(t)[1] is not None, label
+        _assert_matches_dense_restatement(t, label)
+        seen.add(label)
+    assert len(seen) == 2 + 2 + 4 * 4 * 2 + 2
+
+
+def test_dense_algebra_element_takes_the_dense_route(rng):
+    t = build_sm(random_yukawas(rng, 1)).triple
+    dense = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
+    basis = list(t.algebra.basis[:-1]) + [dense]
+    moved = dataclasses.replace(t, algebra=FiniteAlgebra(basis, basis))
+    assert moved.algebra._monomials() is None and ist._opposites(moved)[1] is None
+    oz, fo, closure, rep_even, pairs = _dense_restatement(moved)
+    assert order_zero(moved) == oz > 1.0 and first_order(moved) == fo > 1.0
+    assert moved.algebra.closure_violation() == closure
+    assert check_axioms(moved).violations["rep_even"] == rep_even
+    assert np.array_equal(ist.one_form_generators(moved)[1], pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sm_algebra_and_opposites_are_monomial(n, rng):
+    t = build_sm(random_yukawas(rng, n)).triple
+    assert t.algebra is sm_algebra(n)
+    monos, opp = sm_algebra(n)._monomials(), ist._opposites(t)[1]
+    assert monos is not None and opp is not None and len(monos) == len(opp) == 24
+    for b, m in zip(t.algebra.basis, monos):
+        assert np.array_equal(m.lmul(np.eye(t.dim)), b)
+
+
+def test_order_conditions_on_an_empty_algebra():
+    c = from_clifford_module(cached_module(1, 3), "east")
+    empty = dataclasses.replace(c, algebra=FiniteAlgebra([], []))
+    assert order_zero(empty) == 0.0 and first_order(empty) == 0.0
+    comms, pairs = ist.one_form_generators(empty)
+    assert comms == [] and pairs.shape == (0, c.dim, c.dim)

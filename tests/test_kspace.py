@@ -329,6 +329,7 @@ def test_block_svd_matches_one_svd(rng):
     rank = int(np.sum(s > s[0] * RANK_RTOL))
 
     got_s, cutoff, got_rank, gap, span, kernel = _block_svd(A)
+    span = span()
     assert got_rank == rank and abs(cutoff - s[0] * RANK_RTOL) <= 1e-12 * cutoff
     assert np.abs(got_s - s).max() <= 1e-12 * s[0]
     assert np.abs(span @ span.conj().T - np.eye(rank)).max() <= 1e-12
@@ -445,3 +446,48 @@ def test_operators_keep_read_only_copies():
         form.gram[0, 0] = 2.0
     with pytest.raises(ValueError):
         K.mat[0, 0] = 2.0
+
+
+def _dense(mono):
+    M = np.zeros((len(mono.perm), len(mono.perm)), dtype=complex)
+    M[np.arange(len(mono.perm)), mono.perm] = mono.phase
+    return M
+
+
+def test_monomial_of_partial_and_refused_inputs(rng):
+    A = np.zeros((4, 4), dtype=complex)
+    A[0, 2], A[2, 0], A[3, 3] = 1j, -1.0, 0.5  # row 1 and column 1 are zero
+    mono = _Monomial.of(A)
+    assert mono is not None and np.array_equal(_dense(mono), A)
+    assert sorted(mono.perm) == list(range(4)) and mono.perm[1] == 1 and mono.phase[1] == 0
+    assert np.array_equal(mono.perm[mono.inv], np.arange(4))
+    assert _Monomial.of(np.zeros((3, 3))) is not None
+    X = random_matrix(rng, 4)
+    assert np.array_equal(mono.lmul(X), A @ X) and np.array_equal(mono.rmul(X), X @ A)
+    assert mono.commutator_norm(X) == np.abs(X @ A - A @ X).max()
+    two = A.copy()
+    two[0, 1] = 1.0  # two nonzeros in row 0
+    assert _Monomial.of(two) is None
+    assert _Monomial.of(two.T) is None  # two nonzeros in column 1
+    assert _Monomial.of(np.eye(3)[:2]) is None  # not square
+    assert _Monomial.of(np.eye(2)[:, :1]) is None
+
+
+def test_singular_partial_monomials_are_refused():
+    with pytest.raises(ValueError, match="singular"):
+        KreinForm(np.diag([1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match="singular"):
+        KreinForm(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    J = AntilinearOperator(np.diag([1.0, 0.0]))  # a singular J keeps the dense route and its error
+    assert J._mono is None
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        J.conjugate(np.eye(2))
+
+
+def test_realspan_assembles_its_basis_on_first_read(rng):
+    mats = np.stack([random_matrix(rng, 3) for _ in range(4)])
+    span = realspan(mats)
+    assert "basis" not in vars(span)
+    basis = span.basis
+    assert span.basis is basis and basis.shape == (4, 3, 3)
+    assert np.array_equal(span.kernel, realspan(mats).kernel)
