@@ -188,14 +188,9 @@ def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
     q = sig.q
     gram_rob = KreinForm(gram)
     gram_anti = KreinForm((1j ** q) * gram @ chi)
-    negatives = gammas[: q]
-    positives = gammas[q:]
-    if q % 2 == 0:
-        eta_plus = _normalized_symmetry(negatives, gram_rob)
-        eta_minus = _normalized_symmetry(positives, gram_anti)
-    else:
-        eta_plus = _normalized_symmetry(positives, gram_rob)
-        eta_minus = _normalized_symmetry(negatives, gram_anti)
+    plus, minus = (gammas[:q], gammas[q:]) if q % 2 == 0 else (gammas[q:], gammas[:q])
+    eta_plus = _normalized_symmetry(plus, gram_rob)
+    eta_minus = _normalized_symmetry(minus, gram_anti)
     return CliffordModule(
         sig=sig,
         dim=sig.spinor_dim,
@@ -296,31 +291,34 @@ def extract_signs(module: CliffordModule, convention: str) -> SignQuadruple:
     return measure_signs(*convention_pairing(module, convention), module.chi)
 
 
-def _hermitian_basis(n: int) -> np.ndarray:
-    """An (n^2, n, n) real basis of the hermitian matrices, orthonormal for Re tr(S^dag T)."""
-    i, j = np.triu_indices(n, 1)
-    k, m, d = np.arange(i.size), i.size, np.arange(n)
-    H = np.zeros((n * n, n, n), dtype=complex)
-    H[d, d, d] = 1.0
-    H[n + k, i, j] = H[n + k, j, i] = np.sqrt(0.5)
-    H[n + m + k, i, j] = 1j * np.sqrt(0.5)
-    H[n + m + k, j, i] = -1j * np.sqrt(0.5)
-    return H
+def _intertwiners(A, B) -> np.ndarray:
+    """An orthonormal basis of the complex solutions X of A_a X = X B_a for every a.
+
+    A nonzero A[a, i, k] puts X[k, j] into equation (a, i, j) for every j, and a
+    nonzero B[a, l, j] puts -X[i, l] into it for every i.  ``_block_svd`` takes that
+    coordinate list transposed and conjugated, so its left null vectors solve the system.
+    """
+    n, t = A.shape[1], np.arange(A.shape[1])
+    a, i, k = np.nonzero(A)
+    b, l, j = np.nonzero(B)
+    rows = np.concatenate([(k[:, None] * n + t).ravel(), (t * n + l[:, None]).ravel()])
+    cols = np.concatenate([(((a * n + i) * n)[:, None] + t).ravel(),
+                           ((b[:, None] * n + t) * n + j[:, None]).ravel()])
+    vals = np.repeat(np.concatenate([A[a, i, k], -B[b, l, j]]).conj(), n)
+    return _block_svd(rows, cols, vals, (n * n, len(A) * n * n))[5].T.reshape(-1, n, n)
 
 
 def robinson_solution_space(module: CliffordModule) -> list:
     """Basis of hermitian grams F with every generator F-self-adjoint.
 
-    F runs over a real orthonormal basis of the hermitian matrices, so the
-    solutions are the kernel of the real-linear map F -> (gamma^a dag F -
-    F gamma^a)_a; the result must be one-dimensional (Robinson uniqueness).
+    The complex solutions X of gamma^a dag X = X gamma^a are closed under X -> X^dag, so
+    the hermitian ones are the real span of X + X^dag and i(X - X^dag), returned
+    orthonormal for Re tr(S^dag T); it must be one-dimensional (Robinson uniqueness).
     """
-    n = module.dim
-    H = _hermitian_basis(n)
     g = np.stack(module.gammas)
-    images = g.conj().transpose(0, 2, 1)[None] @ H[:, None] - H[:, None] @ g[None]
-    kernel = realspan(images.reshape(n * n, len(g) * n, n)).kernel
-    return list(np.tensordot(kernel.T, H, axes=1))
+    X = _intertwiners(g.conj().transpose(0, 2, 1), g)
+    XH = X.conj().transpose(0, 2, 1)
+    return list(realspan(np.concatenate([X + XH, 1j * (X - XH)])).basis)
 
 
 def cc_solution_space(module: CliffordModule) -> list:
@@ -330,15 +328,11 @@ def cc_solution_space(module: CliffordModule) -> list:
     normalized to square (as an antilinear operator) to a(q - p), and any
     other space is returned as an orthonormal basis.
     """
-    n = module.dim
-    # M conj(gamma^a) - gamma^a M = 0 is complex-linear in M; the solutions are the left
-    # null vectors of the n^2 x d n^2 conjugate transpose of that system, built directly
-    eye = np.eye(n)
-    AH = np.hstack([np.kron(eye, ga) - np.kron(ga.conj().T, eye) for ga in module.gammas])
-    basis = [v.reshape(n, n) for v in _block_svd(AH)[5].T]
+    g = np.stack(module.gammas)
+    basis = list(_intertwiners(g, g.conj()))  # gamma^a M = M conj(gamma^a)
     if len(basis) == 1:
         M = basis[0]
-        basis = [M / np.sqrt(abs(scalar_coefficient(M @ np.conj(M), eye)))]
+        basis = [M / np.sqrt(abs(scalar_coefficient(M @ np.conj(M), np.eye(module.dim))))]
     return basis
 
 
@@ -353,12 +347,8 @@ def pin_norms(module: CliffordModule, vectors) -> tuple[int, int]:
         if abs(abs(norm) - 1.0) > UNIT_TOL:
             raise ValueError("vectors must satisfy g(v, v) = +-1")
         omega = omega @ module.gamma(v)
-    x = module.gram_robinson.adjoint(omega) @ omega
-    y = module.gram_antirobinson.adjoint(omega) @ omega
-    return (
-        snap_sign(scalar_coefficient(x, np.eye(n))),
-        snap_sign(scalar_coefficient(y, np.eye(n))),
-    )
+    forms = (module.gram_robinson, module.gram_antirobinson)
+    return tuple(snap_sign(scalar_coefficient(f.adjoint(omega) @ omega, np.eye(n))) for f in forms)
 
 
 def expected_signs(q: int, p: int, convention: str) -> SignQuadruple:

@@ -87,10 +87,15 @@ class FiniteAlgebra:
         return self._mono
 
 
+_SCALARS = {}  # n -> the shared, read-only scalar algebra
+
+
 def scalar_algebra(n: int) -> FiniteAlgebra:
-    """The real scalars acting on an n-dimensional space."""
-    eye = np.eye(n, dtype=complex)
-    return FiniteAlgebra([eye], [eye], labels=["1"])
+    """The real scalars acting on an n-dimensional space, built once per n and shared."""
+    if n not in _SCALARS:
+        eye = np.eye(n, dtype=complex)
+        _SCALARS[n] = FiniteAlgebra([eye], [eye], labels=["1"])
+    return _SCALARS[n]
 
 
 @dataclass(frozen=True)

@@ -87,17 +87,15 @@ def _complexify(V, support) -> np.ndarray:
     return np.take(np.column_stack([V, np.zeros(len(V))]), source, axis=1).view(np.complex128)
 
 
-def _block_svd(A) -> tuple:
-    """The SVD of A as one batched SVD per block shape of its pattern A != 0.
-
-    A nonzero A[i, j] joins row i and column j; up to a permutation A is
-    block-diagonal with a block per connected component, split on exact
-    zeros only.  One component is one SVD of A.  The rank rule is global:
+def _block_svd(rows, cols, vals, shape) -> tuple:
+    """The SVD of the ``shape`` matrix with vals at (rows, cols), duplicates summed, as one
+    batched SVD per block shape.  A listed (i, j) joins row i and column j; up to a
+    permutation the matrix is block-diagonal with a block per connected component, split
+    on unlisted entries only.  One component is one SVD of the matrix.  The rank rule is global:
     s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank, gap, span, kernel):
     span() builds kept right-singular vectors as rows; kernel has discarded left ones as columns.
     """
-    m, k = A.shape
-    r, c = np.divmod(np.flatnonzero(A != 0), k)
+    (m, k), r, c = shape, rows, cols
     # label = least row index of the component: relax along the edges, then jump
     label, col = np.arange(m), np.full(k, m)
     while True:
@@ -109,19 +107,23 @@ def _block_svd(A) -> tuple:
         label = new[new]
     roots = label == np.arange(m)
     nc = int(roots.sum())
-    # component numbers; a column with no nonzero joins a last one of no shape, dropped
+    # component numbers; a column with no entry joins a last one of no shape, dropped
     number = np.append(np.cumsum(roots) - 1, nc)
     row, col = number[label], number[col]
     shape = np.bincount(row, minlength=nc) * (k + 1) + np.bincount(col, minlength=nc + 1)[:nc]
     shape = np.append(shape, -1)
     rows, cols = np.argsort(row, kind="stable"), np.argsort(col, kind="stable")
-    blocks = []
+    # an entry's offset in its block stack is at_r[row] + at_c[column]
+    at_r, at_c, blocks = np.zeros(m, np.intp), np.zeros(k, np.intp), []
     for size in np.unique(shape[:nc]):
         nr, nk = divmod(int(size), k + 1)
         R = rows[shape[row[rows]] == size].reshape(-1, nr)  # components in number order
         C = cols[shape[col[cols]] == size].reshape(len(R), nk)
+        at_r[R], at_c[C] = nk * np.arange(R.size).reshape(R.shape), np.arange(nk)
+        block, on = np.zeros(R.size * nk, vals.dtype), shape[row[r]] == size
+        np.add.at(block, at_r[r[on]] + at_c[c[on]], vals[on])
         # all nr left-singular vectors are needed for the kernel
-        svd = np.linalg.svd(A[R[:, :, None], C[:, None, :]], full_matrices=nr > nk)
+        svd = np.linalg.svd(block.reshape(len(R), nr, nk), full_matrices=nr > nk)
         blocks.append((R, C, *svd))
 
     s = np.concatenate([b[3].ravel() for b in blocks] + [np.zeros(0)])
@@ -129,7 +131,7 @@ def _block_svd(A) -> tuple:
     cutoff = float(s[0] * RANK_RTOL) if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     gap = float(s[rank] / s[rank - 1]) if 0 < rank < s.size else 0.0
-    kernel, n_kernel = np.zeros((m, m - rank), A.dtype), 0
+    kernel, n_kernel = np.zeros((m, m - rank), vals.dtype), 0
     for R, _, u, sv, _ in blocks:
         g, j = np.nonzero(np.arange(R.shape[1]) >= np.sum(sv > cutoff, axis=1)[:, None])
         kernel[R[g], n_kernel + np.arange(g.size)[:, None]] = u[g, :, j]
@@ -207,7 +209,9 @@ def realspan(mats) -> RealSpan:
     m, shape = M.shape[0], M.shape[1:]
     flat = M.reshape(m, shape[0] * shape[1])
     support = _support(flat)
-    s, cutoff, rank, gap, span, kernel = _block_svd(_realify(flat, support))
+    A = _realify(flat, support)
+    r, c = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+    s, cutoff, rank, gap, span, kernel = _block_svd(r, c, A[r, c], A.shape)
     s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
     return RealSpan(
         kernel=kernel,

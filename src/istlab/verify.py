@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ncforms, sm, specact
 from .clifford import (
+    MAX_DIM,
     Signature,
     build,
     cc_solution_space,
@@ -408,6 +409,8 @@ CRITERIA = [
 
 
 def run_criterion(number: int, seed: int = 0, max_dim: int = 8) -> CriterionResult:
+    if not 4 <= max_dim <= MAX_DIM:  # below 4, criteria 1, 3 and 4 would pass over nothing
+        raise ValueError(f"max_dim must be in 4...{MAX_DIM}, got {max_dim}")
     for num, title, fn, budget in CRITERIA:
         if num == number:
             rng = np.random.default_rng(seed + number)

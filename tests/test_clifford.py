@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import supported_signatures
+from test_kspace import _hermitian_basis
 from istlab.clifford import (
     Signature,
     build,
@@ -224,25 +226,54 @@ def _dense_cc_solution_space(gammas):
     eye = np.eye(n)
     A = np.vstack([np.kron(eye, g.conj().T) - np.kron(g, eye) for g in gammas])
     _, s, vt = np.linalg.svd(A, full_matrices=False)
-    return vt[int(np.sum(s > s[0] * RANK_RTOL)):].conj().T
+    return list(vt[int(np.sum(s > s[0] * RANK_RTOL)):].conj().reshape(-1, n, n))
 
 
-def _projector(vectors):
-    Q, _ = np.linalg.qr(np.stack([np.ravel(v) for v in vectors], axis=1))
+def _dense_robinson_solution_space(gammas):
+    """Kernel of the realified images gamma^a dag F - F gamma^a over a hermitian basis F."""
+    n = len(gammas[0])
+    H = _hermitian_basis(n)
+    images = np.stack([g.conj().T @ H - H @ g for g in gammas], axis=1)
+    A = np.concatenate([images.real, images.imag], axis=1).reshape(n * n, -1)
+    u, s, _ = np.linalg.svd(A)
+    return list(np.tensordot(u[:, int(np.sum(s > s[0] * RANK_RTOL)):].T, H, axes=1))
+
+
+def _projector(vectors, real):
+    """Orthogonal projector onto the complex span, or the real span when ``real`` is set."""
+    V = np.stack([np.ravel(v) for v in vectors], axis=1)
+    Q, _ = np.linalg.qr(np.vstack([V.real, V.imag]) if real else V)
     return Q @ Q.conj().T
 
 
 def test_cc_solution_space_matches_dense_svd(module_of):
-    # the component-wise SVD must find the space one SVD of the whole system finds
+    # both component-wise oracles must find the space one SVD of a dense system finds
     cases = [module_of(q, p).gammas for q, p in supported_signatures(6)]
     cases += [[np.kron(np.eye(2), g) for g in module_of(q, p).gammas] for q, p in ((1, 3), (0, 2))]
+    oracles = ((cc_solution_space, _dense_cc_solution_space, False),
+               (robinson_solution_space, _dense_robinson_solution_space, True))
     for gammas in cases:
         n = len(gammas[0])
         module = dataclasses.replace(module_of(1, 1), dim=n, gammas=gammas)
-        want = _dense_cc_solution_space(gammas)
-        got = cc_solution_space(module)
-        assert len(got) == want.shape[1]
-        assert np.abs(_projector(got) - want @ want.conj().T).max() <= 1e-12
+        for oracle, dense, real in oracles:
+            want, got = dense(gammas), oracle(module)
+            assert len(got) == len(want)
+            assert np.abs(_projector(got, real) - _projector(want, real)).max() <= 1e-12
+
+
+def test_solution_spaces_at_the_cap():
+    # d = 12, odd-odd: both spaces are lines, in bounded memory (a dense system takes 3 GiB)
+    module = build(Signature(5, 7))
+    tracemalloc.start()
+    try:
+        rob, cc = robinson_solution_space(module), cc_solution_space(module)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rob) == len(cc) == 1 and peak < 200 * 2**20
+    scalar_coefficient(rob[0], module.gram_robinson.gram, tol=1e-8)
+    sq = scalar_coefficient(cc[0] @ np.conj(cc[0]), np.eye(module.dim), tol=1e-8)
+    assert snap_sign(sq) == sign_a(5 - 7)
 
 
 def test_pin_norms(module_of):

@@ -260,6 +260,15 @@ def test_algebra_keeps_read_only_copies():
         alg.basis[0][0, 0] = 2.0
 
 
+def test_triples_of_one_dim_share_a_read_only_scalar_algebra(module_of):
+    t1 = from_clifford_module(module_of(1, 3), "east")
+    t2 = from_clifford_module(module_of(2, 2), "south")
+    assert t1.algebra is t2.algebra is scalar_algebra(4)
+    assert from_clifford_module(module_of(0, 2), "east").algebra is not t1.algebra
+    with pytest.raises(ValueError, match="read-only"):
+        t1.algebra.basis[0][0, 0] = 2.0
+
+
 # --- monomial algebra products ------------------------------------------
 # Every SM, Clifford and product basis element is a phased partial
 # permutation with phases 1, -1, i or -i, so gathers give the dense

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas
-from istlab.clifford import Signature, _hermitian_basis, build
+from istlab.clifford import Signature, build
 from istlab.ist import one_form_generators
 from istlab.kspace import (
     RANK_RTOL,
@@ -206,8 +206,20 @@ def _realify_all(mats):
     return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
 
 
+def _hermitian_basis(n: int) -> np.ndarray:
+    """An (n^2, n, n) real basis of the hermitian matrices, orthonormal for Re tr(S^dag T)."""
+    i, j = np.triu_indices(n, 1)
+    k, m, d = np.arange(i.size), i.size, np.arange(n)
+    H = np.zeros((n * n, n, n), dtype=complex)
+    H[d, d, d] = 1.0
+    H[n + k, i, j] = H[n + k, j, i] = np.sqrt(0.5)
+    H[n + m + k, i, j] = 1j * np.sqrt(0.5)
+    H[n + m + k, j, i] = -1j * np.sqrt(0.5)
+    return H
+
+
 def _robinson_images(gammas):
-    """The stack gamma^a dag F - F gamma^a over the hermitian basis F, as in clifford."""
+    """The stack gamma^a dag F - F gamma^a over the hermitian basis F."""
     n = len(gammas[0])
     H = _hermitian_basis(n)
     g = np.stack(gammas)
@@ -327,8 +339,18 @@ def test_block_svd_matches_one_svd(rng):
     assert _component_count(A) == len(shapes) + 2  # the zero rows are components too
     u, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > s[0] * RANK_RTOL))
+    # every entry listed as two halves, which sum to it, plus a pair at a zero entry that
+    # cancels exactly and joins two components
+    r, c = np.nonzero(A)
+    i, j = r[0], c[np.flatnonzero(A[r[0], c] == 0)[0]]
+    pattern = A != 0
+    pattern[i, j] = True
+    assert _component_count(pattern) == len(shapes) + 1
+    order = rng.permutation(2 * r.size + 2)
+    rows, cols = np.concatenate([r, r, [i, i]])[order], np.concatenate([c, c, [j, j]])[order]
+    vals = np.concatenate([A[r, c] / 2, A[r, c] / 2, [1.5 - 2j, -1.5 + 2j]])[order]
 
-    got_s, cutoff, got_rank, gap, span, kernel = _block_svd(A)
+    got_s, cutoff, got_rank, gap, span, kernel = _block_svd(rows, cols, vals, A.shape)
     span = span()
     assert got_rank == rank and abs(cutoff - s[0] * RANK_RTOL) <= 1e-12 * cutoff
     assert np.abs(got_s - s).max() <= 1e-12 * s[0]

@@ -142,6 +142,13 @@ def test_cli_rejects_missing_file(capsys):
     assert main(["sm", "--model", "/nonexistent.json", "--coeffs"]) == 1
 
 
+@pytest.mark.parametrize("max_dim", ["1", "14"])
+def test_cli_verify_all_refuses_a_max_dim_outside_its_range(capsys, max_dim):
+    # 1 would pass criteria 1, 3 and 4 over nothing; 14 is past the Clifford cap
+    assert main(["verify-all", "--max-dim", max_dim]) == 1
+    assert capsys.readouterr().err.startswith("error: max_dim must be in 4...12")
+
+
 def test_cli_spectral_action(capsys):
     assert main([
         "spectral-action", "--d", "2", "--t", "1", "--s", "1",
