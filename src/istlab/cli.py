@@ -21,6 +21,8 @@ from .ist import check_axioms, first_order, order_zero, triple_dims
 from .kspace import AXIOM_TOL
 from .tensor import tensor_modules
 
+SCAN_LIMIT = 1000  # most --scan-a spacings; each one is a spectral action
+
 
 def _emit(rows, header, fmt: str):
     if fmt == "json":
@@ -148,6 +150,8 @@ def _cmd_spectral_action(args) -> int:
     spec = specact.TorusSpec(args.d, args.t, args.s, args.N, args.L / (args.N or 1))
     if args.scan_a:
         lo, hi, count = args.scan_a
+        if not 3 <= count <= SCAN_LIMIT:
+            raise ValueError(f"--scan-a needs 3 to {SCAN_LIMIT} spacings, got {count}")
         a_values = list(np.geomspace(lo, hi, int(count)))
         slope, rows = specact.divergence_exponent(spec, a_values, f, args.lam)
         table = [(a, N, S, float(np.log(S))) for a, N, S in rows]
@@ -242,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("NCG_SEED", "0"))
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("NCG_SEED", "0"))
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

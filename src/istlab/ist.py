@@ -5,14 +5,16 @@ conjugation, a Dirac operator and a represented real *-algebra.  All
 checks are numerical: each axiom reports its worst violation and the
 triple passes when every one is below tolerance.
 
-The library's algebra elements and their opposites are phased partial permutations
-(``kspace._Monomial``) with phases 1, -1, i or -i, so the algebra products gather rows or
-columns, bit for bit equal to the dense products that non-monomial elements keep.
+Each algebra element and each opposite becomes one operator, which ``kspace._operator``
+picks per matrix.  The library's elements are phased partial permutations with phases 1,
+-1, i or -i, so their products gather rows or columns, bit for bit equal to the dense
+products that any other matrix, such as a loaded dense element, takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .kspace import (
     MEMBER_TOL,
     AntilinearOperator,
     KreinForm,
-    _Monomial,
+    _operator,
     _read_only,
     antilinear_adjoint,
     as_matrix,
@@ -71,20 +73,17 @@ class FiniteAlgebra:
             return self._closure
         B = np.stack(self.basis)
         span = realspan(B)
-        monos = self._monomials()
         worst = 0.0
-        for i, a in enumerate(B):  # one row of products at a time bounds the memory
-            norms, dists = span.residuals(a @ B if monos is None else monos[i].lmul(B))
+        for a in self._operators:  # one row of products at a time bounds the memory
+            norms, dists = span.residuals(a.lmul(B))
             worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
         self._closure = worst
         return self._closure
 
-    def _monomials(self):
-        """The monomial forms of the basis, or None when some element is not monomial."""
-        if "_mono" not in self.__dict__:
-            forms = [_Monomial.of(b) for b in self.basis]
-            self._mono = None if any(m is None for m in forms) else forms
-        return self._mono
+    @cached_property
+    def _operators(self) -> list:
+        """The basis as ``kspace`` operators, for products by gathers where they are monomial."""
+        return [_operator(b) for b in self.basis]
 
 
 _SCALARS = {}  # n -> the shared, read-only scalar algebra
@@ -122,6 +121,10 @@ class IndefiniteTriple:
     def dim(self) -> int:
         return self.form.dim
 
+    @cached_property
+    def _axioms(self) -> dict:
+        return _evaluate_axioms(self)
+
 
 @dataclass
 class AxiomReport:
@@ -156,11 +159,7 @@ def _sign_defect(A, B) -> float:
 
 def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
     """Evaluate every triple axiom once per triple; pass iff all violations <= AXIOM_TOL."""
-    violations = getattr(triple, "_axioms", None)
-    if violations is None:
-        violations = _evaluate_axioms(triple)
-        object.__setattr__(triple, "_axioms", violations)
-    return AxiomReport(dict(violations))
+    return AxiomReport(dict(triple._axioms))
 
 
 def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
@@ -183,7 +182,7 @@ def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
     v["cc_homogeneous"] = _sign_defect(M @ np.conj(chi), chi @ M)
     v["cc_dirac_commute"] = _maxabs(M @ np.conj(D) - D @ M)
 
-    v["rep_even"] = _worst_commutator(chi, triple.algebra.basis, triple.algebra._monomials())
+    v["rep_even"] = _worst_commutator(chi, triple.algebra._operators)
     v["rep_involutive"] = max(
         (
             _maxabs(form.adjoint(b) - binv)
@@ -213,37 +212,31 @@ def opposite(triple: IndefiniteTriple, X) -> np.ndarray:
     return triple.cc.conjugate(triple.form.adjoint(X))
 
 
-def _opposites(triple: IndefiniteTriple) -> tuple:
-    """The matrices pi(b)^o over the basis, and their monomial forms or None."""
-    opp = [opposite(triple, b) for b in triple.algebra.basis]
-    forms = [_Monomial.of(bo) for bo in opp]
-    return opp, None if any(m is None for m in forms) else forms
+def _opposites(triple: IndefiniteTriple) -> list:
+    """The operators pi(b)^o over the basis."""
+    return [_operator(opposite(triple, b)) for b in triple.algebra.basis]
 
 
-def _worst_commutator(X, mats, monos) -> float:
-    """max |[X, b]| over b in mats for a matrix or stack X; by gathers when ``monos`` is given."""
-    if monos is None:
-        return max((_maxabs(X @ b - b @ X) for b in mats), default=0.0)
-    return max((m.commutator_norm(X) for m in monos), default=0.0)
+def _worst_commutator(X, ops) -> float:
+    """max |[X, b]| over the operators b for a matrix or stack X."""
+    return max((b.commutator_norm(X) for b in ops), default=0.0)
 
 
 def _dirac_commutators(triple: IndefiniteTriple) -> np.ndarray:
     """The (m, n, n) stack of [D, pi(b)] over the algebra basis."""
-    D, n, monos = triple.dirac, triple.dim, triple.algebra._monomials()
-    if monos is None:
-        return np.array([D @ b - b @ D for b in triple.algebra.basis]).reshape(-1, n, n)
-    return np.array([m.rmul(D) - m.lmul(D) for m in monos]).reshape(-1, n, n)
+    D, n = triple.dirac, triple.dim
+    return np.array([b.rmul(D) - b.lmul(D) for b in triple.algebra._operators]).reshape(-1, n, n)
 
 
 def order_zero(triple: IndefiniteTriple) -> float:
     """max ||[pi(a), pi(b)^o]|| over algebra basis pairs."""
     basis, n = triple.algebra.basis, triple.dim
-    return _worst_commutator(np.array(basis).reshape(-1, n, n), *_opposites(triple))
+    return _worst_commutator(np.array(basis).reshape(-1, n, n), _opposites(triple))
 
 
 def first_order(triple: IndefiniteTriple) -> float:
     """max ||[[D, pi(a)], pi(b)^o]|| over algebra basis pairs."""
-    return _worst_commutator(_dirac_commutators(triple), *_opposites(triple))
+    return _worst_commutator(_dirac_commutators(triple), _opposites(triple))
 
 
 def one_form_generators(triple: IndefiniteTriple) -> tuple:
@@ -254,16 +247,14 @@ def one_form_generators(triple: IndefiniteTriple) -> tuple:
     and every such commutator, i-major.  Pairs whose commutator vanishes
     are dropped; the real span is unchanged.
     """
-    n, monos = triple.dim, triple.algebra._monomials()
+    n, ops = triple.dim, triple.algebra._operators
     scale = max(1.0, _maxabs(triple.dirac))
     every = _dirac_commutators(triple)
     kept = [j for j, c in enumerate(every) if _maxabs(c) > COMM_VANISH * scale]
     C = every[kept]
     comms = list(zip(kept, C))
-    if monos is None:
-        return comms, (np.stack(triple.algebra.basis)[:, None] @ C[None]).reshape(-1, n, n)
-    pairs = np.empty((len(monos), *C.shape), complex)
-    for a, out in zip(monos, pairs):
+    pairs = np.empty((len(ops), *C.shape), complex)
+    for a, out in zip(ops, pairs):
         out[...] = a.lmul(C)
     return comms, pairs.reshape(-1, n, n)
 

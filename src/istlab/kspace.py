@@ -272,21 +272,16 @@ class _Monomial:
     inv: np.ndarray  # inverse permutation
     phase: np.ndarray
 
-    @classmethod
-    def of(cls, A):
-        """The monomial form of a square matrix, or None when it is not a partial monomial."""
-        n, nonzero = len(A), A != 0
-        perm = nonzero.argmax(axis=1)
-        phase = A[np.arange(n), perm]
-        rows, cols = phase != 0, nonzero.any(axis=0)
-        # exact: square, with as many nonzeros as nonzero rows and as nonzero columns
-        if A.shape != (n, n) or not nonzero.sum() == rows.sum() == cols.sum():
-            return None
-        perm[~rows] = np.flatnonzero(~cols)
-        return cls(perm, np.argsort(perm), phase)
-
-    def inverse(self) -> "_Monomial":  # only for forms with every phase nonzero
+    def inverse(self) -> "_Monomial":
+        if not self.phase.all():
+            raise np.linalg.LinAlgError("Singular matrix")
         return _Monomial(self.inv, self.perm, 1.0 / self.phase[self.inv])
+
+    def conj(self) -> "_Monomial":
+        return _Monomial(self.perm, self.inv, self.phase.conj())
+
+    def singular_values(self) -> np.ndarray:
+        return np.abs(self.phase)
 
     def lmul(self, A) -> np.ndarray:
         """M @ A on the last two axes of A."""
@@ -305,6 +300,49 @@ class _Monomial:
         return float(max(np.abs(cols).max(initial=0.0), np.abs(rows).max(initial=0.0)))
 
 
+@dataclass(frozen=True)
+class _Dense:
+    """A matrix with no monomial form, or its inverse when ``inverted``, as dense products.
+
+    The inverse solves on the left, as dense adjoints always have, and uses inv(mat) on the right.
+    """
+
+    mat: np.ndarray
+    inverted: bool = False
+
+    def inverse(self) -> "_Dense":
+        return _Dense(self.mat, not self.inverted)
+
+    def conj(self) -> "_Dense":
+        return _Dense(self.mat.conj(), self.inverted)
+
+    def singular_values(self) -> np.ndarray:
+        sv = np.linalg.svd(self.mat, compute_uv=False)
+        return 1.0 / sv[::-1] if self.inverted else sv
+
+    def lmul(self, A) -> np.ndarray:
+        return np.linalg.solve(self.mat, A) if self.inverted else self.mat @ A
+
+    def rmul(self, A) -> np.ndarray:
+        return A @ (np.linalg.inv(self.mat) if self.inverted else self.mat)
+
+    def commutator_norm(self, X) -> float:
+        return float(np.abs(self.rmul(X) - self.lmul(X)).max(initial=0.0))
+
+
+def _operator(A):
+    """A ``_Monomial`` if A is a square phased partial permutation, else a ``_Dense``."""
+    n, nonzero = len(A), A != 0
+    perm = nonzero.argmax(axis=1)
+    phase = A[np.arange(n), perm]
+    rows, cols = phase != 0, nonzero.any(axis=0)
+    # exact: square, with as many nonzeros as nonzero rows and as nonzero columns
+    if A.shape != (n, n) or not nonzero.sum() == rows.sum() == cols.sum():
+        return _Dense(A)
+    perm[~rows] = np.flatnonzero(~cols)
+    return _Monomial(perm, np.argsort(perm), phase)
+
+
 class KreinForm:
     """Indefinite hermitian pairing (psi, phi) = psi^dag gram phi.
 
@@ -319,9 +357,8 @@ class KreinForm:
         if rel_diff(H, H.conj().T) > RTOL:
             raise ValueError("gram must be hermitian")
         self.gram = _read_only(H)
-        # a monomial matrix's singular values are the moduli of its phases
-        mono = self._mono = _Monomial.of(H)
-        sv = np.linalg.svd(H, compute_uv=False) if mono is None else np.abs(mono.phase)
+        self._op = _operator(self.gram)
+        sv = self._op.singular_values()
         if sv.min() == 0.0 or sv.max() / sv.min() > COND_MAX:
             raise ValueError("gram is singular or too ill-conditioned")
         self.cond = float(sv.max() / sv.min())
@@ -333,20 +370,12 @@ class KreinForm:
     def pair(self, psi, phi) -> complex:
         return complex(np.asarray(psi).conj() @ self.gram @ np.asarray(phi))
 
-    def _between(self, A, conj=False) -> np.ndarray:
-        """H^-1 A H, or H^-1 A conj(H) when ``conj`` is set."""
-        if self._mono is None:
-            return np.linalg.solve(self.gram, A @ (self.gram.conj() if conj else self.gram))
-        m = self._mono
-        right = _Monomial(m.perm, m.inv, m.phase.conj()) if conj else m
-        return m.inverse().lmul(right.rmul(A))
-
     def adjoint(self, T) -> np.ndarray:
         """Krein adjoint H^-1 T^dag H of a linear operator."""
         T = as_matrix(T)
         if T.shape != self.gram.shape:
             raise ValueError("operator dimension does not match the form")
-        return self._between(T.conj().T)
+        return self._op.inverse().lmul(self._op.rmul(T.conj().T))
 
     def adjoint_sign(self, X) -> int:
         """Sign s with X^x = s X, or raise if X is neither symmetric nor antisymmetric."""
@@ -361,8 +390,7 @@ class AntilinearOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _read_only(self.mat))
-        mono = _Monomial.of(self.mat)  # a singular J keeps the dense route and its error
-        object.__setattr__(self, "_mono", mono if mono is not None and mono.phase.all() else None)
+        object.__setattr__(self, "_op", _operator(self.mat))
 
     def __call__(self, psi):
         return self.mat @ np.conj(psi)
@@ -373,9 +401,7 @@ class AntilinearOperator:
 
     def conjugate(self, X) -> np.ndarray:
         """The linear operator K X K^-1 for linear X."""
-        if self._mono is None:
-            return self.mat @ np.conj(X) @ np.linalg.inv(self.mat)
-        return self._mono.inverse().rmul(self._mono.lmul(np.conj(X)))
+        return self._op.inverse().rmul(self._op.lmul(np.conj(X)))
 
     def parity_sign(self, chi) -> int:
         """Sign s with K chi = s chi K, or raise for inhomogeneous K."""
@@ -388,7 +414,7 @@ def antilinear_adjoint(K: AntilinearOperator, form: KreinForm) -> AntilinearOper
     """The unique antilinear K^x with (psi, K phi) = conj((K^x psi, phi))."""
     if K.mat.shape != form.gram.shape:
         raise ValueError("operator dimension does not match the form")
-    return AntilinearOperator(form._between(K.mat.T, conj=True))
+    return AntilinearOperator(form._op.inverse().lmul(form._op.conj().rmul(K.mat.T)))
 
 
 @dataclass
@@ -462,9 +488,8 @@ def trace_form(S, T, varpi=None) -> np.ndarray:
     """
     A = S.conj()
     if varpi is not None:
-        WT = as_matrix(varpi).T
-        mono = _Monomial.of(WT)
-        A = WT @ A @ WT if mono is None else mono.lmul(mono.rmul(A))
+        W = _operator(as_matrix(varpi).T)
+        A = W.lmul(W.rmul(A))
     return A.reshape(len(A), -1) @ T.reshape(len(T), -1).T
 
 

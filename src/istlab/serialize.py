@@ -58,6 +58,8 @@ def triple_to_dict(triple: IndefiniteTriple) -> dict:
 
 
 def triple_from_dict(data: dict) -> IndefiniteTriple:
+    if not isinstance(data, dict):
+        raise ValueError(f"triple file must hold a JSON object, got {type(data).__name__}")
     try:
         basis = [decode_matrix(b) for b in data["algebra_basis"]]
         involution = [decode_matrix(b) for b in data["involution"]]
@@ -71,6 +73,8 @@ def triple_from_dict(data: dict) -> IndefiniteTriple:
         )
     except KeyError as exc:
         raise ValueError(f"triple file is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"triple file has a wrongly typed field: {exc}") from exc
 
 
 def load_triple(path: str) -> IndefiniteTriple:
@@ -94,6 +98,8 @@ def formspace_to_dict(qspace_or_forms) -> dict:
 
 def sm_input_from_dict(data: dict):
     """Parse {"N", "s", "epsF", "yukawas": {...}, "z": {...}} into model inputs."""
+    if not isinstance(data, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(data).__name__}")
     try:
         n = int(data["N"])
         s = int(data["s"])
@@ -101,14 +107,16 @@ def sm_input_from_dict(data: dict):
         y = YukawaSet(*(decode_matrix(data["yukawas"][key]) for key in _YUKAWA_KEYS))
     except KeyError as exc:
         raise ValueError(f"model file is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"model file has a wrongly typed field: {exc}") from exc
     if y.n_gen != n:
         raise ValueError("declared N does not match the Yukawa size")
     z = None
     if "z" in data:
         try:
             z = ZParams(**{k: float(v) for k, v in data["z"].items()})
-        except TypeError as exc:
-            raise ValueError(f"bad z parameters: {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"model file has bad z parameters: {exc}") from exc
     return y, s, eps_f, z
 
 

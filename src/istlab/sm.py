@@ -112,10 +112,7 @@ def _lift_right(lam, n_gen) -> np.ndarray:
 def _lift_left(q2, n_gen) -> np.ndarray:
     """a_L for a quaternion: acts on (nu, e) and on each (u_c, d_c) pair."""
     out = np.zeros((N_SLOTS, N_SLOTS), dtype=complex)
-    out[0, 0], out[0, 1] = q2[0, 0], q2[0, 1]
-    out[1, 0], out[1, 1] = q2[1, 0], q2[1, 1]
-    for c in range(3):
-        u, d = 2 + c, 5 + c
+    for u, d in ((0, 1), (2, 5), (3, 6), (4, 7)):
         out[u, u], out[u, d] = q2[0, 0], q2[0, 1]
         out[d, u], out[d, d] = q2[1, 0], q2[1, 1]
     return np.kron(out, np.eye(n_gen))

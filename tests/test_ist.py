@@ -20,7 +20,7 @@ from istlab.ist import (
     scalar_algebra,
     triple_dims,
 )
-from istlab.kspace import COMM_VANISH, AntilinearOperator, KreinForm, realspan
+from istlab.kspace import COMM_VANISH, AntilinearOperator, KreinForm, _Dense, _Monomial, realspan
 from istlab.sm import _four_blocks, build_sm, majorana_block, sm_algebra, yukawa_block
 from istlab.tensor import tensor_ist
 
@@ -341,7 +341,7 @@ def _route_cases(rng):
 def test_monomial_products_match_the_dense_restatement(rng):
     seen = set()
     for label, t in _route_cases(rng):
-        assert ist._opposites(t)[1] is not None, label
+        assert all(isinstance(b, _Monomial) for b in ist._opposites(t)), label
         _assert_matches_dense_restatement(t, label)
         seen.add(label)
     assert len(seen) == 2 + 2 + 4 * 4 * 2 + 2
@@ -352,7 +352,10 @@ def test_dense_algebra_element_takes_the_dense_route(rng):
     dense = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
     basis = list(t.algebra.basis[:-1]) + [dense]
     moved = dataclasses.replace(t, algebra=FiniteAlgebra(basis, basis))
-    assert moved.algebra._monomials() is None and ist._opposites(moved)[1] is None
+    ops, opp = moved.algebra._operators, ist._opposites(moved)
+    # the route is picked per matrix: the other elements keep their gathers
+    assert isinstance(ops[-1], _Dense) and isinstance(opp[-1], _Dense)
+    assert all(isinstance(b, _Monomial) for b in ops[:-1])
     oz, fo, closure, rep_even, pairs = _dense_restatement(moved)
     assert order_zero(moved) == oz > 1.0 and first_order(moved) == fo > 1.0
     assert moved.algebra.closure_violation() == closure
@@ -364,8 +367,8 @@ def test_dense_algebra_element_takes_the_dense_route(rng):
 def test_sm_algebra_and_opposites_are_monomial(n, rng):
     t = build_sm(random_yukawas(rng, n)).triple
     assert t.algebra is sm_algebra(n)
-    monos, opp = sm_algebra(n)._monomials(), ist._opposites(t)[1]
-    assert monos is not None and opp is not None and len(monos) == len(opp) == 24
+    monos, opp = sm_algebra(n)._operators, ist._opposites(t)
+    assert all(isinstance(b, _Monomial) for b in monos + opp) and len(monos) == len(opp) == 24
     for b, m in zip(t.algebra.basis, monos):
         assert np.array_equal(m.lmul(np.eye(t.dim)), b)
 

@@ -10,8 +10,10 @@ from istlab.kspace import (
     AntilinearOperator,
     DegenerateProjectionError,
     KreinForm,
+    _Dense,
     _Monomial,
     _block_svd,
+    _operator,
     antilinear_adjoint,
     is_fundamental_symmetry,
     real_bilinear_project,
@@ -416,8 +418,8 @@ def _assert_trace_form_matches(S, T, varpi):
 def test_monomial_route_matches_dense_route(rng):
     seen = 0
     for label, form, cc, varpi in _monomial_cases(rng):
-        assert form._mono is not None and cc._mono is not None, label
-        assert _Monomial.of(np.asarray(varpi)) is not None, label
+        assert isinstance(form._op, _Monomial) and isinstance(cc._op, _Monomial), label
+        assert isinstance(_operator(np.asarray(varpi)), _Monomial), label
         H, M, n = form.gram, cc.mat, form.dim
         X = random_matrix(rng, n)
         scale = np.abs(X).max()
@@ -439,13 +441,13 @@ def test_dense_gram_keeps_the_dense_route(rng):
     A = random_matrix(rng, n)
     gram = A + A.conj().T + 8 * np.diag([1.0, -1.0] * 3)  # hermitian, generically dense
     form = KreinForm(gram)
-    assert form._mono is None
+    assert isinstance(form._op, _Dense)
     sv = np.linalg.svd(gram, compute_uv=False)
     assert form.cond == sv[0] / sv[-1]
     X = random_matrix(rng, n)
     assert_allclose(form.adjoint(X), np.linalg.solve(gram, X.conj().T @ gram), rtol=0, atol=0)
     K = AntilinearOperator(random_matrix(rng, n))
-    assert K._mono is None
+    assert isinstance(K._op, _Dense)
     assert_allclose(K.conjugate(X), K.mat @ np.conj(X) @ np.linalg.inv(K.mat), rtol=0, atol=0)
     S = np.stack([random_matrix(rng, n) for _ in range(3)])
     _assert_trace_form_matches(S, S, random_matrix(rng, n))
@@ -453,7 +455,7 @@ def test_dense_gram_keeps_the_dense_route(rng):
 
 def test_monomial_gram_condition_is_the_phase_ratio():
     form = KreinForm(np.array([[0, 2j, 0], [-2j, 0, 0], [0, 0, -0.5]]))
-    assert form._mono is not None
+    assert isinstance(form._op, _Monomial)
     assert form.cond == 4.0
     with pytest.raises(ValueError, match="ill-conditioned"):
         KreinForm(np.diag([1.0, -1e-9]))
@@ -479,20 +481,20 @@ def _dense(mono):
 def test_monomial_of_partial_and_refused_inputs(rng):
     A = np.zeros((4, 4), dtype=complex)
     A[0, 2], A[2, 0], A[3, 3] = 1j, -1.0, 0.5  # row 1 and column 1 are zero
-    mono = _Monomial.of(A)
-    assert mono is not None and np.array_equal(_dense(mono), A)
+    mono = _operator(A)
+    assert isinstance(mono, _Monomial) and np.array_equal(_dense(mono), A)
     assert sorted(mono.perm) == list(range(4)) and mono.perm[1] == 1 and mono.phase[1] == 0
     assert np.array_equal(mono.perm[mono.inv], np.arange(4))
-    assert _Monomial.of(np.zeros((3, 3))) is not None
+    assert isinstance(_operator(np.zeros((3, 3))), _Monomial)
     X = random_matrix(rng, 4)
     assert np.array_equal(mono.lmul(X), A @ X) and np.array_equal(mono.rmul(X), X @ A)
     assert mono.commutator_norm(X) == np.abs(X @ A - A @ X).max()
     two = A.copy()
     two[0, 1] = 1.0  # two nonzeros in row 0
-    assert _Monomial.of(two) is None
-    assert _Monomial.of(two.T) is None  # two nonzeros in column 1
-    assert _Monomial.of(np.eye(3)[:2]) is None  # not square
-    assert _Monomial.of(np.eye(2)[:, :1]) is None
+    assert isinstance(_operator(two), _Dense)
+    assert isinstance(_operator(two.T), _Dense)  # two nonzeros in column 1
+    assert isinstance(_operator(np.eye(3)[:2]), _Dense)  # not square
+    assert isinstance(_operator(np.eye(2)[:, :1]), _Dense)
 
 
 def test_singular_partial_monomials_are_refused():
@@ -500,10 +502,63 @@ def test_singular_partial_monomials_are_refused():
         KreinForm(np.diag([1.0, 0.0, -1.0]))
     with pytest.raises(ValueError, match="singular"):
         KreinForm(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
-    J = AntilinearOperator(np.diag([1.0, 0.0]))  # a singular J keeps the dense route and its error
-    assert J._mono is None
+    J = AntilinearOperator(np.diag([1.0, 0.0]))  # a singular monomial J has the dense route's error
+    assert isinstance(J._op, _Monomial)
     with pytest.raises(np.linalg.LinAlgError, match="Singular"):
         J.conjugate(np.eye(2))
+
+
+def _library_matrices(rng):
+    """(label, matrix) over the SM (N=1, 3) and Clifford (d <= 6) grams, conjugations,
+    varpi and algebra elements, and one monomial whose phases are not unit."""
+    from istlab.clifford import convention_pairing
+    from istlab.ist import scalar_algebra
+    from istlab.verify import cached_module, supported_signatures
+
+    for n in (1, 3):
+        model = build_sm(random_yukawas(rng, n))
+        t = model.triple
+        yield from ((f"sm-n{n} {k}", M) for k, M in
+                    (("gram", t.form.gram), ("J", t.cc.mat), ("varpi", model.varpi)))
+        yield from ((f"sm-n{n} {k}", b) for k, b in zip(t.algebra.labels, t.algebra.basis))
+    for q, p in supported_signatures(6):
+        module = cached_module(q, p)
+        yield f"cl({q},{p}) varpi", module.eta_plus
+        yield f"cl({q},{p}) 1", scalar_algebra(module.dim).basis[0]
+        for conv in ("east", "west", "south", "north"):
+            form, cc = convention_pairing(module, conv)
+            yield f"cl({q},{p})-{conv} gram", form.gram
+            yield f"cl({q},{p})-{conv} J", cc.mat
+    yield "phases 2, i/4, -1", np.array([[0, 2, 0], [0, 0, 0.25j], [-1, 0, 0]])
+
+
+def test_monomial_and_dense_operators_agree(rng):
+    seen = 0
+    for label, M in _library_matrices(rng):
+        mono, dense = _operator(M), _Dense(M)
+        assert isinstance(mono, _Monomial), label
+        n = len(M)
+        X, stack = random_matrix(rng, n), np.stack([random_matrix(rng, n) for _ in range(3)])
+        for Y in (X, stack):
+            assert np.array_equal(mono.lmul(Y), dense.lmul(Y)), label
+            assert np.array_equal(mono.rmul(Y), dense.rmul(Y)), label
+            assert np.array_equal(mono.conj().rmul(Y), dense.conj().rmul(Y)), label
+            assert mono.commutator_norm(Y) == dense.commutator_norm(Y), label
+        sv = np.sort(mono.singular_values()), np.sort(dense.singular_values())
+        assert np.abs(sv[0] - sv[1]).max() <= 1e-15, label
+        if mono.phase.all():
+            scale = np.abs(X).max() * np.abs(1.0 / mono.phase).max()
+            inv, dense_inv = mono.inverse(), dense.inverse()
+            for f in (lambda op: op.lmul(X), lambda op: op.rmul(X), lambda op: op.conj().lmul(X),
+                      lambda op: op.commutator_norm(X),
+                      lambda op: np.sort(op.singular_values()) * np.abs(X).max()):
+                assert np.abs(f(inv) - f(dense_inv)).max() <= 1e-15 * scale, label
+        else:  # both refuse a singular matrix
+            for op in (mono, dense):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                    op.inverse().lmul(X)
+        seen += 1
+    assert seen == 2 * 3 + (24 + 24) + 15 * (2 + 4 * 2) + 1
 
 
 def test_realspan_assembles_its_basis_on_first_read(rng):

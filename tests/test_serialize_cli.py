@@ -138,6 +138,36 @@ def test_cli_rejects_malformed_model(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: [], lambda d: "x", lambda d: {**d, "N": None}, lambda d: {**d, "yukawas": []},
+    lambda d: {**d, "yukawas": {**d["yukawas"], "Ye": {}}}, lambda d: {**d, "z": []},
+], ids=["list", "string", "null-N", "list-yukawas", "object-matrix", "list-z"])
+def test_cli_sm_rejects_a_wrongly_typed_model(edit, rng, tmp_path, capsys):
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["sm", "--model", str(path), "--coeffs"]) == 1
+    assert capsys.readouterr().err.startswith("error: model file ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: [], lambda d: "x", lambda d: {**d, "sigma": None},
+    lambda d: {**d, "algebra_basis": 5}, lambda d: {**d, "gram": {}},
+], ids=["list", "string", "null-sigma", "number-basis", "object-gram"])
+def test_cli_ist_check_rejects_a_wrongly_typed_triple(edit, module_of, tmp_path, capsys):
+    data = serialize.triple_to_dict(from_clifford_module(module_of(1, 3), "south"))
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(edit(data)))
+    assert main(["ist-check", "--model", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: triple file ")
+
+
+def test_cli_rejects_a_non_integer_seed(capsys, monkeypatch):
+    monkeypatch.setenv("NCG_SEED", "abc")
+    assert main(["signs", "--table", "a"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_missing_file(capsys):
     assert main(["sm", "--model", "/nonexistent.json", "--coeffs"]) == 1
 
@@ -223,6 +253,19 @@ def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(np, "kron", kron)
     assert main(["tensor", "--left", "6,6", "--right", "6,6"]) == 1
     assert capsys.readouterr().err.startswith("error: dimension 24 exceeds")
+
+
+@pytest.mark.parametrize("count", ["2", "1001", "1000000000"])
+def test_cli_spectral_action_refuses_a_scan_count_outside_its_range(capsys, monkeypatch, count):
+    # 10^9 spacings would ask geomspace for 7.45 GiB
+    def geomspace(*_):
+        raise AssertionError("spacings built before the count check")
+
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "16", "--L", "1"]
+    scan = ["--scan-a", f"0.01:0.02:{count}"]
+    assert main(["spectral-action", *torus, "--lambda", "10", *scan]) == 1
+    assert capsys.readouterr().err.startswith("error: --scan-a needs 3 to 1000 spacings")
 
 
 def test_cli_spectral_action_scan(capsys):
