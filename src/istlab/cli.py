@@ -15,8 +15,8 @@ import numpy as np
 
 from . import serialize, sm, specact, verify
 from .clifford import Signature, build, extract_signs, verify_relations
-from .dims import (CONVENTIONS, EVEN_RESIDUES, cardinal_table, dims_from_signs, sign_a,
-                   signs_from_dims, spacetime_pairs)
+from .dims import (CONVENTIONS, EVEN_RESIDUES, cardinal_table, dims_from_signs,
+                   half_power_sign, sign_a, signs_from_dims, spacetime_pairs)
 from .ist import check_axioms, first_order, order_zero, triple_dims
 from .kspace import AXIOM_TOL
 from .tensor import tensor_modules
@@ -46,7 +46,7 @@ def _cmd_signs(args) -> int:
     if args.table == "a":
         rows = [("a(n)", *(sign_a(n) for n in EVEN_RESIDUES)),
                 ("a(-n)", *(sign_a(-n) for n in EVEN_RESIDUES)),
-                ("(-1)^(n/2)", *((-1) ** (n // 2) for n in EVEN_RESIDUES)),
+                ("(-1)^(n/2)", *(half_power_sign(n) for n in EVEN_RESIDUES)),
                 ]
         _emit(rows, ("row", "n=0", "n=2", "n=4", "n=6"), args.format)
     elif args.table == "ko-metric":
@@ -164,7 +164,7 @@ def _cmd_spectral_action(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = verify.run_all(seed=args.seed, max_dim=args.max_dim, stream=sys.stderr)
+    results = verify.run_all(seed=args.seed, max_dim=args.max_dim)
     _emit(
         [(r.number, r.title, "pass" if r.ok else "FAIL", f"{r.elapsed:.2f}") for r in results],
         ("criterion", "title", "status", "seconds"),

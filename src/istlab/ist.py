@@ -68,17 +68,20 @@ class FiniteAlgebra:
         return sum(c * b for c, b in zip(coeffs, self.basis))
 
     def closure_violation(self) -> float:
-        """Worst distance of a basis product from the real span."""
-        if getattr(self, "_closure", None) is not None:
-            return self._closure
+        """Worst distance of a basis product from the real span; 0 for the zero algebra."""
+        return self._closure
+
+    @cached_property
+    def _closure(self) -> float:
+        if not self.basis:
+            return 0.0
         B = np.stack(self.basis)
         span = realspan(B)
         worst = 0.0
         for a in self._operators:  # one row of products at a time bounds the memory
             norms, dists = span.residuals(a.lmul(B))
             worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
-        self._closure = worst
-        return self._closure
+        return worst
 
     @cached_property
     def _operators(self) -> list:

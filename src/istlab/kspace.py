@@ -115,8 +115,8 @@ def _block_svd(rows, cols, vals, shape) -> tuple:
     rows, cols = np.argsort(row, kind="stable"), np.argsort(col, kind="stable")
     # an entry's offset in its block stack is at_r[row] + at_c[column]
     at_r, at_c, blocks = np.zeros(m, np.intp), np.zeros(k, np.intp), []
-    for size in np.unique(shape[:nc]):
-        nr, nk = divmod(int(size), k + 1)
+    for size in sorted(set(shape[:nc].tolist())):  # np.unique would import numpy.ma
+        nr, nk = divmod(size, k + 1)
         R = rows[shape[row[rows]] == size].reshape(-1, nr)  # components in number order
         C = cols[shape[col[cols]] == size].reshape(len(R), nk)
         at_r[R], at_c[C] = nk * np.arange(R.size).reshape(R.shape), np.arange(nk)

@@ -45,24 +45,24 @@ def junk_two_forms(triple: IndefiniteTriple) -> RealSpan:
 
 @dataclass
 class QSpace:
-    """The projection target pi(A) + junk with its trace-form Gram data."""
+    """The projection target pi(A) + junk with its trace-form Gram data and the junk span."""
 
     forms: RealSpan
     gram: np.ndarray
     definite: bool
     gram_cond: float
+    junk: RealSpan
 
 
-def q_space(triple: IndefiniteTriple, varpi=None, junk: RealSpan = None) -> QSpace:
+def q_space(triple: IndefiniteTriple, varpi=None) -> QSpace:
     """Algebra image plus junk, with the projection product's Gram report."""
-    if junk is None:
-        junk = junk_two_forms(triple)
+    junk = junk_two_forms(triple)
     space = realspan(np.concatenate([np.stack(triple.algebra.basis), junk.basis]))
     G = trace_form(space.basis, space.basis, varpi).real
     eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     definite = bool(eigs.min() > 0 or eigs.max() < 0)
     cond = float(abs(eigs).max() / abs(eigs).min()) if abs(eigs).min() > 0 else np.inf
-    return QSpace(space, G, definite, cond)
+    return QSpace(space, G, definite, cond, junk)
 
 
 def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = None):

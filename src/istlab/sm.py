@@ -211,7 +211,8 @@ def _four_blocks(b12, b21, b13, b31, b34, b43, k) -> np.ndarray:
     return out
 
 
-def finite_dirac(y: YukawaSet, s: int, eps_f: int) -> np.ndarray:
+def finite_dirac(y: YukawaSet, eps_f: int) -> np.ndarray:
+    """The finite Dirac operator D; the statistics sign s enters only eta and J, not D."""
     Y = yukawa_block(y)
     M = majorana_block(y)
     k = Y.shape[0]
@@ -256,26 +257,18 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
         1.0, float(np.abs(y.yr).max())
     ):
         raise ValueError("Y_R must satisfy Y_R^T = s*eps_F*Y_R")
-    n = y.n_gen
-    k = N_SLOTS * n
-    ik = np.eye(k)
-
-    eta = _blockdiag([ik, -ik, s * ik, -s * ik])
-    chi = _blockdiag([ik, -ik, -ik, ik])
+    ik = np.eye(N_SLOTS * y.n_gen, dtype=complex)
+    eta = np.kron(np.diag([1, -1, s, -s]), ik)
+    chi = np.kron(np.diag([1, -1, -1, 1]), ik)
     varpi = chi @ eta
-
-    jmat = np.zeros((4 * k, 4 * k), dtype=complex)
-    jmat[: k, 2 * k: 3 * k] = eps_f * ik
-    jmat[k: 2 * k, 3 * k:] = eps_f * ik
-    jmat[2 * k: 3 * k, : k] = ik
-    jmat[3 * k:, k: 2 * k] = ik
+    jmat = np.kron([[0, 0, eps_f, 0], [0, 0, 0, eps_f], [1, 0, 0, 0], [0, 1, 0, 0]], ik)
 
     triple = IndefiniteTriple(
         form=KreinForm(eta),
         chi=chi,
         cc=AntilinearOperator(jmat),
-        dirac=finite_dirac(y, s, eps_f),
-        algebra=sm_algebra(n),
+        dirac=finite_dirac(y, eps_f),
+        algebra=sm_algebra(y.n_gen),
         sigma=0,
     )
     return SMModel(yukawas=y, s=s, eps_f=eps_f, triple=triple, varpi=varpi)
@@ -350,9 +343,7 @@ def higgs_projection_closed(q_h, y: YukawaSet) -> np.ndarray:
     lep = 0.5 * (mnu + me) - c1 / (8 * n) * eye_n
     qrk = 0.5 * (mu + md) - c1 / (8 * n) * eye_n
     left = _blockdiag([lep, lep, qrk, qrk, qrk, qrk, qrk, qrk])
-    bar_vals = np.zeros(N_SLOTS)
-    bar_vals[0] = bar_vals[1] = -c1 / (12 * n)
-    bar = _slot_diag(bar_vals, n)
+    bar = _slot_diag([-c1 / (12 * n)] * 2 + [0] * 6, n)
     return -scalar * _blockdiag([right, left, bar, bar])
 
 

@@ -265,6 +265,8 @@ def divergence_exponent(
     a_values = sorted(float(a) for a in a_values)
     if len(a_values) < 3:
         raise ValueError("need at least 3 lattice spacings")
+    if len(set(a_values[:3])) < 3:
+        raise ValueError(f"the 3 smallest lattice spacings must be distinct, got {a_values[:3]}")
     L = base.L
     rows = []
     for a in a_values:

@@ -310,3 +310,25 @@ def test_charge_conjugation_adjoint_sign(module_of):
     m = module_of(1, 3)
     adj = antilinear_adjoint(m.jplus, m.gram_robinson)
     assert np.abs(adj.mat - sign_a(-4) * m.jplus.mat).max() <= 1e-12
+
+
+def _relations_over_ordered_pairs(module):
+    g, n, worst = module.sig.metric(), module.dim, 0.0
+    for a, ga in enumerate(module.gammas):
+        for b, gb in enumerate(module.gammas):
+            acom = ga @ gb + gb @ ga - 2.0 * g[a, b] * np.eye(n)
+            worst = max(worst, float(np.abs(acom).max()))
+    return worst
+
+
+def test_relations_over_unordered_pairs_match_all_ordered_pairs(module_of, rng):
+    # each anticommutator is checked once; the (b, a) sum is the same floating-point value
+    sigs = supported_signatures(8)
+    assert len(sigs) == 24
+    for q, p in sigs:
+        m = module_of(q, p)
+        assert verify_relations(m) == _relations_over_ordered_pairs(m)
+    m = module_of(2, 2)
+    noise = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
+    broken = dataclasses.replace(m, gammas=[m.gammas[0], m.gammas[1] + 1e-3 * noise, *m.gammas[2:]])
+    assert verify_relations(broken) == _relations_over_ordered_pairs(broken) > 1e-4

@@ -379,3 +379,5 @@ def test_order_conditions_on_an_empty_algebra():
     assert order_zero(empty) == 0.0 and first_order(empty) == 0.0
     comms, pairs = ist.one_form_generators(empty)
     assert comms == [] and pairs.shape == (0, c.dim, c.dim)
+    assert empty.algebra.closure_violation() == 0.0  # the zero algebra is closed
+    assert check_axioms(empty).ok and triple_dims(empty) == triple_dims(c)

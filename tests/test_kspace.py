@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -568,3 +573,15 @@ def test_realspan_assembles_its_basis_on_first_read(rng):
     basis = span.basis
     assert span.basis is basis and basis.shape == (4, 3, 3)
     assert np.array_equal(span.kernel, realspan(mats).kernel)
+
+
+def test_realspan_does_not_import_numpy_ma():
+    # numpy's unique imports numpy.ma on first use, a cost every cold CLI call would pay
+    code = ("import sys, numpy as np; from istlab.kspace import realspan; "
+            "realspan(np.stack([np.eye(3), np.diag([1.0, 2, 3])]).astype(complex)).basis; "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60, check=True)
+    assert res.stdout.strip() == "False"

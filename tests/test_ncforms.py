@@ -40,9 +40,8 @@ def test_sm_form_dimensions(rng):
     for n in (1, 3):
         model = build_sm(random_yukawas(rng, n))
         forms = ncforms.one_forms(model.triple)
-        junk = ncforms.junk_two_forms(model.triple)
-        qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
-        assert (forms.rank, junk.rank, qs.forms.rank) == (8, 4, 28)
+        qs = ncforms.q_space(model.triple, model.varpi)
+        assert (forms.rank, qs.junk.rank, qs.forms.rank) == (8, 4, 28)
         assert qs.definite
 
 
@@ -63,8 +62,7 @@ def test_sm_junk_is_even(rng):
 
 def test_q_space_is_bimodule(rng):
     model = build_sm(random_yukawas(rng, 1))
-    junk = ncforms.junk_two_forms(model.triple)
-    qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
+    qs = ncforms.q_space(model.triple, model.varpi)
     dim = qs.forms.rank
     for a in model.triple.algebra.basis[:6]:
         for q in qs.forms.basis[:5]:
@@ -84,8 +82,7 @@ def test_q_space_rejects_projected_curvature(rng):
 
 def test_projection_kills_members(rng):
     model = build_sm(random_yukawas(rng, 1))
-    junk = ncforms.junk_two_forms(model.triple)
-    qs = ncforms.q_space(model.triple, model.varpi, junk=junk)
+    qs = ncforms.q_space(model.triple, model.varpi)
     member = sum(
         rng.normal() * s for s in qs.forms.basis
     )
@@ -129,3 +126,11 @@ def test_form_space_rank_threshold():
     mats = [np.eye(2), np.eye(2) * 1e-12, np.diag([1.0, -1.0])]
     space = realspan(mats)
     assert space.rank == 2
+
+
+def test_q_space_carries_the_junk_span_it_builds(rng, module_of):
+    triples = [build_sm(random_yukawas(rng, n)).triple for n in (1, 3)]
+    for t in triples + [two_point_triple(), from_clifford_module(module_of(1, 3), "south")]:
+        qs, junk = ncforms.q_space(t), ncforms.junk_two_forms(t)
+        assert qs.junk.rank == junk.rank and qs.junk.basis.shape == junk.basis.shape
+        assert qs.junk.basis.tobytes() == junk.basis.tobytes()

@@ -313,3 +313,21 @@ def test_formspace_json_dump(rng):
     assert data["definite"] is True
     assert len(data["span"]) == 28
     json.dumps(data)  # JSON-clean
+
+
+def test_cli_spectral_action_refuses_a_scan_without_distinct_spacings(capsys):
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "16", "--L", "1"]
+    assert main(["spectral-action", *torus, "--lambda", "10", "--scan-a", "0.01:0.01:3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the 3 smallest lattice spacings must be distinct")
+    assert captured.out == ""
+
+
+def test_cli_ist_check_accepts_the_empty_algebra(module_of, tmp_path, capsys):
+    data = serialize.triple_to_dict(from_clifford_module(module_of(1, 3), "south"))
+    data["algebra_basis"], data["involution"] = [], []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert main(["ist-check", "--model", str(path), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert "algebra_closed,0.0" in captured.out.splitlines() and "n=6 m=4" in captured.err

@@ -16,9 +16,11 @@ from istlab.ist import (
 )
 from istlab.kspace import in_span
 from istlab.sm import (
+    N_SLOTS,
     LagrangianCoeffs,
     YukawaSet,
     ZParams,
+    _blockdiag,
     build_sm,
     couplings,
     gauge_coupling_matrices,
@@ -462,3 +464,24 @@ def test_sm_algebra_is_built_once_and_read_only(rng):
     assert first.triple.algebra is second.triple.algebra is algebra
     assert check_axioms(first.triple).ok
     assert check_axioms(second.triple).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_operators_match_the_blockwise_restatement(rng, n):
+    # eta, chi, J and varpi bit for bit as diagonal blocks and slice assignments
+    k = N_SLOTS * n
+    ik = np.eye(k)
+    for s in (-1, 1):
+        for eps_f in (-1, 1):
+            model = build_sm(random_yukawas(rng, n, s=s, eps_f=eps_f), s=s, eps_f=eps_f)
+            eta = _blockdiag([ik, -ik, s * ik, -s * ik])
+            chi = _blockdiag([ik, -ik, -ik, ik])
+            jmat = np.zeros((4 * k, 4 * k), dtype=complex)
+            jmat[: k, 2 * k: 3 * k] = eps_f * ik
+            jmat[k: 2 * k, 3 * k:] = eps_f * ik
+            jmat[2 * k: 3 * k, : k] = ik
+            jmat[3 * k:, k: 2 * k] = ik
+            t = model.triple
+            for got, want in ((t.form.gram, eta), (t.chi, chi), (t.cc.mat, jmat),
+                              (model.varpi, chi @ eta)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

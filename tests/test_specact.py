@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from istlab import specact
 from istlab.specact import (
     CutoffFn,
     TorusSpec,
@@ -285,3 +286,14 @@ def test_cutoff_validation():
         CutoffFn("sampled", (1, 2, 3))
     with pytest.raises(ValueError, match="Fourier"):
         CutoffFn("exp").fourier(0.0)
+
+
+@pytest.mark.parametrize("a_values", [[0.01] * 3, [0.1, 0.1, 0.2, 0.3], [0.3, 0.2, 0.2]])
+def test_divergence_scan_refuses_repeated_spacings_before_any_action(monkeypatch, a_values):
+    # the fit takes the three smallest spacings, so a repeat among them leaves too few points
+    def action(*_):
+        raise AssertionError("an action was computed before the spacings were checked")
+
+    monkeypatch.setattr(specact, "spectral_action", action)
+    with pytest.raises(ValueError, match="3 smallest lattice spacings must be distinct"):
+        divergence_exponent(TorusSpec(2, 1, 1, 16, 1 / 16), a_values, CutoffFn("gaussian"), 10.0)
