@@ -177,11 +177,10 @@ def _normalized_symmetry(mats, gram: KreinForm) -> np.ndarray:
     if snap_sign(sq) < 0:
         P = 1j * P
     M = gram.gram @ P
-    M = 0.5 * (M + M.conj().T)
-    lo = np.linalg.eigvalsh(M).min()
-    if lo < 0:
-        P = -P
-    return P
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    if eigs[0] <= 0 <= eigs[-1]:
+        raise ValueError("neither sign of the product makes (., eta .) positive definite")
+    return P if eigs[0] > 0 else -P
 
 
 def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
@@ -205,7 +204,7 @@ def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
     )
 
 
-def build(sig: Signature, max_dim: int = MAX_DIM) -> CliffordModule:
+def build(sig: Signature) -> CliffordModule:
     """Construct the canonical Cl(q, p) module.
 
     Even-even signatures use the Fock representation directly; odd-odd
@@ -214,8 +213,8 @@ def build(sig: Signature, max_dim: int = MAX_DIM) -> CliffordModule:
     """
     if not isinstance(sig, Signature):
         sig = Signature(*sig)
-    if sig.d > max_dim:
-        raise ValueError(f"dimension {sig.d} exceeds the dense-algebra cap {max_dim}")
+    if sig.d > MAX_DIM:
+        raise ValueError(f"dimension {sig.d} exceeds the dense-algebra cap {MAX_DIM}")
     q, p = sig.q, sig.p
 
     if q % 2 == 0:

@@ -297,28 +297,21 @@ def _default_dirac(module: CliffordModule, convention: str) -> np.ndarray:
     return np.zeros((n, n), dtype=complex)
 
 
-def from_clifford_module(
-    module: CliffordModule,
-    convention: str,
-    dirac=None,
-    algebra: FiniteAlgebra = None,
-) -> IndefiniteTriple:
+def from_clifford_module(module: CliffordModule, convention: str, dirac=None) -> IndefiniteTriple:
     """Wrap a Clifford module as a triple in one of the four conventions.
 
-    The default algebra is the real scalars and the default Dirac a
-    canonical generator combination compatible with the convention.
+    The algebra is the real scalars and the default Dirac a canonical
+    generator combination compatible with the convention.
     """
     form, cc = convention_pairing(module, convention)
     if dirac is None:
         dirac = _default_dirac(module, convention)
-    if algebra is None:
-        algebra = scalar_algebra(module.dim)
     sigma = 0 if form.adjoint_sign(module.chi) == 1 else 1
     return IndefiniteTriple(
         form=form,
         chi=module.chi,
         cc=cc,
         dirac=as_matrix(dirac),
-        algebra=algebra,
+        algebra=scalar_algebra(module.dim),
         sigma=sigma,
     )

@@ -493,31 +493,24 @@ def trace_form(S, T, varpi=None) -> np.ndarray:
     return A.reshape(len(A), -1) @ T.reshape(len(T), -1).T
 
 
-def real_bilinear_project(X, span, varpi=None, mode="real", gram=None):
-    """Orthogonal projection of X onto span for B(S,T) = tr(varpi S^dag varpi T).
+def real_bilinear_project(X, span, varpi=None, gram=None):
+    """Orthogonal projection of X onto span for Re B(S,T) = Re tr(varpi S^dag varpi T).
 
-    ``mode="real"`` projects within the real span using Re B (the right
-    notion for real algebras); ``mode="hermitian"`` uses complex
-    coefficients and the sesquilinear B itself.  Returns (projection,
-    residual) with the residual B-orthogonal to every span element.
-    A caller that already holds the Gram of ``span`` for this form and
-    mode passes it as ``gram``.  A Gram conditioned worse than COND_MAX
-    raises ``DegenerateProjectionError``.
+    The projection lies in the real span (the right notion for real
+    algebras).  Returns (projection, residual) with the residual
+    Re B-orthogonal to every span element.  A caller that already holds
+    the real Gram of ``span`` for this form passes it as ``gram``.  A
+    Gram conditioned worse than COND_MAX raises
+    ``DegenerateProjectionError``.
     """
     X = as_matrix(X)
     mats = [as_matrix(S) for S in span]
     if not mats:
         raise ValueError("span must be nonempty")
-    if mode not in ("real", "hermitian"):
-        raise ValueError(f"unknown mode {mode!r}")
     S = np.stack(mats)
-    v = trace_form(S, X[None], varpi)[:, 0]
-    if mode == "real":
-        v = v.real
+    v = trace_form(S, X[None], varpi)[:, 0].real
     if gram is None:
-        gram = trace_form(S, S, varpi)
-        if mode == "real":
-            gram = gram.real
+        gram = trace_form(S, S, varpi).real
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
         raise DegenerateProjectionError("degenerate projection product")

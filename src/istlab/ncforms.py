@@ -50,7 +50,6 @@ class QSpace:
     forms: RealSpan
     gram: np.ndarray
     definite: bool
-    gram_cond: float
     junk: RealSpan
 
 
@@ -61,8 +60,7 @@ def q_space(triple: IndefiniteTriple, varpi=None) -> QSpace:
     G = trace_form(space.basis, space.basis, varpi).real
     eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     definite = bool(eigs.min() > 0 or eigs.max() < 0)
-    cond = float(abs(eigs).max() / abs(eigs).min()) if abs(eigs).min() > 0 else np.inf
-    return QSpace(space, G, definite, cond, junk)
+    return QSpace(space, G, definite, junk)
 
 
 def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = None):
@@ -73,7 +71,5 @@ def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = N
     """
     if qspace is None:
         qspace = q_space(triple, varpi)
-    _, resid = real_bilinear_project(
-        X, qspace.forms.basis, varpi, mode="real", gram=qspace.gram
-    )
+    _, resid = real_bilinear_project(X, qspace.forms.basis, varpi, gram=qspace.gram)
     return resid

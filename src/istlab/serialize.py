@@ -82,20 +82,6 @@ def load_triple(path: str) -> IndefiniteTriple:
         return triple_from_dict(json.load(fh))
 
 
-def formspace_to_dict(qspace_or_forms) -> dict:
-    """Dump a ``RealSpan`` (or Q-space) with rank, Gram condition and basis."""
-    forms = getattr(qspace_or_forms, "forms", qspace_or_forms)
-    data = {
-        "real_dim": forms.rank,
-        "singular_values": [float(s) for s in forms.singular_values],
-        "span": [encode_matrix(m) for m in forms.basis],
-    }
-    if hasattr(qspace_or_forms, "gram_cond"):
-        data["gram_cond"] = float(qspace_or_forms.gram_cond)
-        data["definite"] = bool(qspace_or_forms.definite)
-    return data
-
-
 def sm_input_from_dict(data: dict):
     """Parse {"N", "s", "epsF", "yukawas": {...}, "z": {...}} into model inputs."""
     if not isinstance(data, dict):
@@ -117,6 +103,8 @@ def sm_input_from_dict(data: dict):
             z = ZParams(**{k: float(v) for k, v in data["z"].items()})
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"model file has bad z parameters: {exc}") from exc
+        if not np.isfinite(z.as_tuple()).all():
+            raise ValueError(f"model file has bad z parameters: not all finite, {z.as_tuple()}")
     return y, s, eps_f, z
 
 

@@ -127,10 +127,10 @@ def _lift_bar(lam, m3, n_gen) -> np.ndarray:
     return np.kron(out, np.eye(n_gen))
 
 
-def represent(lam, q2, m3, n_gen) -> list:
-    """The four diagonal blocks (a_R, a_L, a_Rbar, a_Lbar) of pi(lam, q, m)."""
+def represent(lam, q2, m3, n_gen) -> np.ndarray:
+    """pi(lam, q, m), block diagonal with blocks (a_R, a_L, a_Rbar, a_Lbar)."""
     bar = _lift_bar(lam, m3, n_gen)
-    return [_lift_right(lam, n_gen), _lift_left(q2, n_gen), bar, bar]
+    return _blockdiag([_lift_right(lam, n_gen), _lift_left(q2, n_gen), bar, bar])
 
 
 def _blockdiag(blocks) -> np.ndarray:
@@ -180,8 +180,8 @@ def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
             elements.append((f"m:E{a}{b}", 0, np.zeros((2, 2)), e))
             elements.append((f"m:iE{a}{b}", 0, np.zeros((2, 2)), 1j * e))
     # generators: FiniteAlgebra keeps read-only copies, so each image is freed once copied
-    basis = (_blockdiag(represent(lam, q, m, n_gen)) for _, lam, q, m in elements)
-    involution = (_blockdiag(represent(np.conj(lam), q.conj().T, m.conj().T, n_gen))
+    basis = (represent(lam, q, m, n_gen) for _, lam, q, m in elements)
+    involution = (represent(np.conj(lam), q.conj().T, m.conj().T, n_gen)
                   for _, lam, q, m in elements)
     return FiniteAlgebra(basis, involution, [label for label, *_ in elements])
 
@@ -300,9 +300,7 @@ def higgs_field_strength(model: SMModel, q_h) -> np.ndarray:
     ]
     H = np.zeros_like(D)
     dH = np.zeros_like(D)
-    for a_blocks, b_blocks in reps:
-        pa = _blockdiag(a_blocks)
-        pb = _blockdiag(b_blocks)
+    for pa, pb in reps:
         da = D @ pa - pa @ D
         db = D @ pb - pb @ D
         H += pa @ db

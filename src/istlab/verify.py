@@ -79,6 +79,10 @@ def random_zparams(rng) -> sm.ZParams:
 
 # --- criterion bodies -------------------------------------------------
 
+HIGGS_DRAWS = 100  # random (Yukawa, q_H) draws of criterion 7
+ORACLE_DRAWS = 50  # trace-oracle draws of criterion 8
+SHIFT_DRAWS = 50  # random torus specs of criterion 10
+
 
 def criterion_sign_tables(max_dim: int = 8, **_):
     """Sign-table reproduction over all supported signatures."""
@@ -239,10 +243,10 @@ def criterion_sm_structure(rng, **_):
     return True, "N=1 and N=3: dims (8, 4, 28), Gram definite, orders exact"
 
 
-def criterion_higgs_projection(rng, draws: int = 100, **_):
+def criterion_higgs_projection(rng, **_):
     """Closed-form Higgs projection against the generic pipeline."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(HIGGS_DRAWS):
         y = random_yukawas(rng, 1)
         model = sm.build_sm(y)
         q_h = sm.quaternion(
@@ -253,13 +257,13 @@ def criterion_higgs_projection(rng, draws: int = 100, **_):
         closed = sm.higgs_projection_closed(q_h, y)
         scale = max(1.0, float(np.linalg.norm(closed)))
         worst = max(worst, float(np.linalg.norm(generic - closed)) / scale)
-    return worst <= 1e-9, f"{draws} draws, worst relative error {worst:.2e}"
+    return worst <= 1e-9, f"{HIGGS_DRAWS} draws, worst relative error {worst:.2e}"
 
 
-def criterion_lagrangian_coeffs(rng, draws: int = 50, **_):
+def criterion_lagrangian_coeffs(rng, **_):
     """Closed coefficients vs trace oracle, positivity, Cauchy-Schwarz."""
     worst = 0.0
-    for i in range(draws):
+    for i in range(ORACLE_DRAWS):
         n = 1 if i % 5 else 3  # every fifth draw runs the 96-dimensional case
         y = random_yukawas(rng, n)
         z = random_zparams(rng)
@@ -279,7 +283,7 @@ def criterion_lagrangian_coeffs(rng, draws: int = 50, **_):
         c1, c2, c3, ok = sm.yukawa_traces(y)
         if not ok:
             return False, f"Cauchy-Schwarz violated: C1^2={c1**2}, bound={4*y.n_gen*(c2+2*c3)}"
-    return True, f"{draws} oracle draws (worst {worst:.2e}), 1000 inequality draws"
+    return True, f"{ORACLE_DRAWS} oracle draws (worst {worst:.2e}), 1000 inequality draws"
 
 
 def criterion_seesaw_majorana(rng, **_):
@@ -306,10 +310,10 @@ def criterion_seesaw_majorana(rng, **_):
     return alive > 1e-6, f"rank {rank}, pairing worst {worst:.2e}, symmetric case {alive:.2e}"
 
 
-def criterion_shift_identity(rng, draws: int = 50, **_):
+def criterion_shift_identity(rng, **_):
     """Heat-trace shift identity over a random sweep (even N)."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(SHIFT_DRAWS):
         t = int(rng.integers(0, 4))
         s = int(rng.integers(0, 4))
         if t + s == 0:
@@ -321,7 +325,7 @@ def criterion_shift_identity(rng, draws: int = 50, **_):
             theta /= abs(theta)
         spec = specact.TorusSpec(t + s, t, s, N, a)
         worst = max(worst, specact.shift_identity_residual(spec, theta))
-    return worst <= 1e-10, f"{draws} draws, worst residual {worst:.2e}"
+    return worst <= 1e-10, f"{SHIFT_DRAWS} draws, worst residual {worst:.2e}"
 
 
 def criterion_heat_kernel_limit(**_):

@@ -7,6 +7,8 @@ analysis), so that single test is expected to fail; it is kept faithful
 rather than loosened.
 """
 
+import inspect
+
 from istlab import verify
 
 SEED = 20240811
@@ -70,3 +72,13 @@ def test_criterion_12_divergence_exponent():
 
 def test_criterion_13_hypercharges():
     _run(13)
+
+
+def test_criteria_take_only_run_wide_arguments():
+    # run_criterion passes rng and max_dim to every criterion; any other parameter
+    # would be a setting no run can change
+    allowed = {("rng", False), ("max_dim", False), ("_", True)}
+    extra = [(number, p.name) for number, _, fn, _ in verify.CRITERIA
+             for p in inspect.signature(fn).parameters.values()
+             if (p.name, p.kind is p.VAR_KEYWORD) not in allowed]
+    assert not extra

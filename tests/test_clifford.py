@@ -10,6 +10,7 @@ from conftest import supported_signatures
 from test_kspace import _hermitian_basis
 from istlab.clifford import (
     Signature,
+    _normalized_symmetry,
     build,
     cc_solution_space,
     expected_signs,
@@ -142,6 +143,14 @@ def test_eta_are_fundamental_symmetries(module_of):
         m = module_of(q, p)
         assert is_fundamental_symmetry(m.eta_plus, m.gram_robinson).ok
         assert is_fundamental_symmetry(m.eta_minus, m.gram_antirobinson).ok
+
+
+def test_normalized_symmetry_refuses_an_indefinite_product(module_of):
+    # on Cl(2,2) eta_plus comes from gamma_0 gamma_1 and the Robinson gram; gamma_2 gamma_3
+    # makes (., P .) indefinite for both signs of P
+    m = module_of(2, 2)
+    with pytest.raises(ValueError, match="neither sign"):
+        _normalized_symmetry(m.gammas[2:], m.gram_robinson)
 
 
 def test_definiteness_pattern_for_pure_signatures(module_of):

@@ -172,17 +172,6 @@ def test_projection_idempotent_and_orthogonal(rng):
         assert abs(inner) < 1e-8
 
 
-def test_projection_hermitian_mode(rng):
-    n = 3
-    span = [random_matrix(rng, n)]
-    X = random_matrix(rng, n)
-    proj, resid = real_bilinear_project(X, span, mode="hermitian")
-    assert abs(np.trace(span[0].conj().T @ resid)) < 1e-10
-    # hermitian mode allows complex coefficients
-    proj_i, _ = real_bilinear_project(1j * span[0], span, mode="hermitian")
-    assert_allclose(proj_i, 1j * span[0], atol=1e-10)
-
-
 def test_projection_degenerate_gram_rejected():
     span = [np.eye(2), np.eye(2) * (1 + 1e-14)]
     with pytest.raises(DegenerateProjectionError, match="degenerate projection"):

@@ -10,7 +10,7 @@ from istlab import serialize
 from istlab.clifford import Signature, build
 from istlab.cli import main
 from istlab.ist import check_axioms, from_clifford_module
-from istlab.sm import ZParams, build_sm
+from istlab.sm import ZParams
 
 
 def test_matrix_roundtrip(rng):
@@ -148,6 +148,18 @@ def test_cli_sm_rejects_a_wrongly_typed_model(edit, rng, tmp_path, capsys):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert main(["sm", "--model", str(path), "--coeffs"]) == 1
     assert capsys.readouterr().err.startswith("error: model file ")
+
+
+@pytest.mark.parametrize("command", ["--coeffs", "--couplings"])
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_cli_sm_refuses_non_finite_z(token, command, rng, tmp_path, capsys):
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(1, 1, 1, 1, 1, 1))
+    path.write_text(path.read_text().replace('"delta": 1', f'"delta": {token}'))
+    assert main(["sm", "--model", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model file has bad z parameters")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("edit", [
@@ -301,18 +313,6 @@ def test_cli_golden_tables(capsys, args, golden):
     assert main(args) == 0
     with open(f"{FIXTURES}/{golden}") as fh:
         assert capsys.readouterr().out == fh.read()
-
-
-def test_formspace_json_dump(rng):
-    from istlab import ncforms
-
-    model = build_sm(random_yukawas(rng, 1))
-    qs = ncforms.q_space(model.triple, model.varpi)
-    data = serialize.formspace_to_dict(qs)
-    assert data["real_dim"] == 28
-    assert data["definite"] is True
-    assert len(data["span"]) == 28
-    json.dumps(data)  # JSON-clean
 
 
 def test_cli_spectral_action_refuses_a_scan_without_distinct_spacings(capsys):
