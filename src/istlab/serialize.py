@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -100,11 +101,15 @@ def sm_input_from_dict(data: dict):
     z = None
     if "z" in data:
         try:
+            # JSON numbers only: float() would take true as 1.0 and "1.5" as 1.5
+            for key, v in data["z"].items():
+                number = isinstance(v, (int, float)) and not isinstance(v, bool)
+                if not (number and abs(v) <= sys.float_info.max):
+                    raise ValueError(
+                        f"model file has bad z parameters: {key} = {v!r} is not a finite number")
             z = ZParams(**{k: float(v) for k, v in data["z"].items()})
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"model file has bad z parameters: {exc}") from exc
-        if not np.isfinite(z.as_tuple()).all():
-            raise ValueError(f"model file has bad z parameters: not all finite, {z.as_tuple()}")
     return y, s, eps_f, z
 
 

@@ -42,6 +42,9 @@ class TorusSpec:
         return TorusSpec(self.d, 0, self.d, self.N, self.a)
 
 
+EXP_ZERO = 746.0  # exp(-x) rounds to 0.0 for every x >= 745.14
+
+
 @dataclass(frozen=True)
 class CutoffFn:
     """Cutoff profile f for the action Tr f(-Delta/Lambda^2).
@@ -68,9 +71,12 @@ class CutoffFn:
         u = np.asarray(u, dtype=float)
         if self.kind == "sampled":
             return np.interp(u, *self.params)
-        # u^2 = inf gives exp(-inf) = 0, the right limit; spectral_action refuses exp(-u) = inf
+        # u^2 = inf gives exp(-inf) = 0, the right limit; spectral_action refuses exp(-u) = inf.
+        # exp(-x) is 0.0 for x >= EXP_ZERO but slow there, so those entries are not computed;
+        # ~(x >= .) rather than x < . keeps nan in
         with np.errstate(over="ignore"):
-            return np.exp(-(u ** 2)) if self.kind == "gaussian" else np.exp(-u)
+            x = u ** 2 if self.kind == "gaussian" else u
+            return np.exp(-x, out=np.zeros_like(x), where=~(x >= EXP_ZERO))[()]
 
     @property
     def has_fourier(self) -> bool:
@@ -145,7 +151,7 @@ def shift_identity_residual(spec: TorusSpec, theta: complex) -> float:
 
 GRID_LIMIT = 10 ** 7      # most eigenvalues the grid path sums
 FOURIER_LIMIT = 10 ** 8   # most quadrature-node x circle-mode terms the Fourier path sums
-_BLOCK = 2 ** 14          # entries per streamed slab or node block: 128 kB of float64
+_BLOCK = 2 ** 14          # entries per streamed slab or table: 128 kB of float64, 256 kB complex
 
 
 def _grid_slabs(spec: TorusSpec):
@@ -181,7 +187,11 @@ def spectral_action(
     path needs an integrable transform (gaussian cutoff).  Both agree to
     1e-6 relative where both run.  Both stream: the grid in slabs, the
     quadrature in node blocks, so memory stays bounded by N^(d-1) values
-    and by the node count n, never by N^d or n N.  A non-finite action raises.
+    and by the node count n, never by N^d or n N.  The grid skips exp
+    where it underflows to 0.  The quadrature factors each node's phases
+    into an inner table, shared by all blocks, and an outer table per
+    block, so it takes about sqrt(n) N exponentials and one complex matrix
+    product per block, not n N cosines and sines.  A non-finite action raises.
     """
     if not (lam_cut > 0 and np.finfo(float).tiny <= float(lam_cut) * float(lam_cut) < math.inf):
         raise ValueError(f"Lambda = {lam_cut!r} must be positive with a finite, normal square")
@@ -218,13 +228,21 @@ def spectral_action(
     w = np.where((m + np.arange(m + 1)) % 2, 4.0, 2.0)
     w[-1] = 1.0
     w[0] /= 2.0
-    rows = max(1, _BLOCK // lam.size)
+    # Node j = q R + r sits at k = (q R + r) h, so exp(-i k lam) is exp(-i q R h lam) times
+    # exp(-i r h lam): one R x modes table of inner factors, a table of outer factors per
+    # block of q, and the block's tr in one complex product.  R ~ sqrt(m) makes that about
+    # 2 sqrt(m) x modes exponentials, not m x modes cos and sin; each table fits in _BLOCK
+    R = max(1, min(math.isqrt(m + 1), _BLOCK // lam.size))
+    inner = mult * np.exp(-1j * scale * np.multiply.outer(h * np.arange(R), lam))
+    rows = max(1, _BLOCK // max(lam.size, R))
+    starts = np.arange(0, m + 1, R)
     total = 0.0
-    for i in range(0, m + 1, rows):
-        phase = scale * np.multiply.outer(k[i:i + rows], lam)
-        tr = np.cos(phase) @ mult - 1j * (np.sin(phase) @ mult)
-        integrand = (f.fourier(k[i:i + rows]) * tr ** spec.t * np.conj(tr) ** spec.s).real
-        total += float(w[i:i + rows] @ integrand)
+    for b in range(0, starts.size, rows):
+        outer = np.exp(-1j * scale * np.multiply.outer(h * starts[b:b + rows], lam))
+        i = b * R
+        tr = (outer @ inner.T).ravel()[: m + 1 - i]
+        integrand = (f.fourier(k[i:i + tr.size]) * tr ** spec.t * np.conj(tr) ** spec.s).real
+        total += float(w[i:i + tr.size] @ integrand)
     return _finite(float(2.0 * total * h / 3.0))
 
 

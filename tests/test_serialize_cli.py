@@ -162,6 +162,21 @@ def test_cli_sm_refuses_non_finite_z(token, command, rng, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["--coeffs", "--couplings"])
+@pytest.mark.parametrize("token", ["true", '"1.5"', '"abc"', "null", "[1]", "1" + "0" * 400],
+                         ids=["true", "numeric-string", "string", "null", "list", "huge-integer"])
+def test_cli_sm_refuses_z_weights_that_are_not_numbers(token, command, rng, tmp_path, capsys):
+    # JSON true and "1.5" used to read as 1.0 and 1.5; a 400-digit integer has no float
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(1, 1, 1, 1, 1, 1))
+    path.write_text(path.read_text().replace('"delta": 1', f'"delta": {token}'))
+    assert main(["sm", "--model", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model file has bad z parameters: delta = ")
+    assert captured.err.rstrip().endswith("is not a finite number")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: [], lambda d: "x", lambda d: {**d, "sigma": None},
     lambda d: {**d, "algebra_basis": 5}, lambda d: {**d, "gram": {}},

@@ -122,26 +122,77 @@ def test_spectral_action_grid_matches_dense_oracle():
         assert abs(grid - oracle) <= 1e-9 * abs(oracle)
 
 
+PATH_CASES = (
+    (TorusSpec(2, 1, 1, 16, 1 / 16), 10.0),
+    (TorusSpec(4, 1, 3, 8, 1 / 8), 20.0),
+    (TorusSpec(2, 2, 0, 12, 0.3), 6.0),
+    # the Fourier path folds circle modes and nodes; these are its edge cases
+    (TorusSpec(1, 1, 0, 2, 1.0), 2.0),     # N = 2: the two special circle values
+    (TorusSpec(2, 1, 1, 2, 0.5), 3.0),
+    (TorusSpec(3, 3, 0, 2, 0.5), 3.0),
+    (TorusSpec(1, 0, 1, 3, 1.0), 2.0),     # N = 3: one mode counted once, one twice
+    (TorusSpec(3, 1, 2, 3, 0.4), 4.0),
+    (TorusSpec(4, 2, 2, 3, 0.5), 3.0),
+    (TorusSpec(2, 1, 1, 9, 1 / 9), 10.0),  # odd N: no unpaired top mode
+    (TorusSpec(3, 0, 3, 7, 0.3), 6.0),     # t = 0
+    (TorusSpec(2, 2, 0, 5, 0.5), 3.0),     # s = 0
+)
+
+
 def test_spectral_action_paths_agree():
     f = CutoffFn("gaussian")
-    for spec, lam in (
-        (TorusSpec(2, 1, 1, 16, 1 / 16), 10.0),
-        (TorusSpec(4, 1, 3, 8, 1 / 8), 20.0),
-        (TorusSpec(2, 2, 0, 12, 0.3), 6.0),
-        # the Fourier path folds circle modes and nodes; these are its edge cases
-        (TorusSpec(1, 1, 0, 2, 1.0), 2.0),     # N = 2: the two special circle values
-        (TorusSpec(2, 1, 1, 2, 0.5), 3.0),
-        (TorusSpec(3, 3, 0, 2, 0.5), 3.0),
-        (TorusSpec(1, 0, 1, 3, 1.0), 2.0),     # N = 3: one mode counted once, one twice
-        (TorusSpec(3, 1, 2, 3, 0.4), 4.0),
-        (TorusSpec(4, 2, 2, 3, 0.5), 3.0),
-        (TorusSpec(2, 1, 1, 9, 1 / 9), 10.0),  # odd N: no unpaired top mode
-        (TorusSpec(3, 0, 3, 7, 0.3), 6.0),     # t = 0
-        (TorusSpec(2, 2, 0, 5, 0.5), 3.0),     # s = 0
-    ):
+    for spec, lam in PATH_CASES:
         grid = spectral_action(spec, f, lam, method="grid")
         fourier = spectral_action(spec, f, lam, method="fourier")
         assert abs(grid - fourier) <= 1e-6 * abs(grid)
+
+
+def fourier_restated(spec, lam_cut):
+    """The Fourier quadrature over all n nodes and all N modes, one cos and sin per pair."""
+    eig = circle_spectrum(spec.N, spec.a)
+    K = 2.0 * np.sqrt(np.log(10.0) * (16 + spec.d * np.log10(spec.N)))
+    n = int(max(4001, 40 * K * max(1.0, spec.d * float(np.abs(eig).max()) / lam_cut ** 2)))
+    n += 1 - n % 2
+    k = np.linspace(-K, K, n)  # Simpson's rule, weights 1, 4, 2, 4, ..., 2, 4, 1
+    w = np.where(np.arange(n) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    total = 0.0
+    for i in range(0, n, 1024):
+        phase = np.multiply.outer(k[i:i + 1024], eig / lam_cut ** 2)
+        tr = np.cos(phase).sum(axis=1) - 1j * np.sin(phase).sum(axis=1)
+        transform = CutoffFn("gaussian").fourier(k[i:i + 1024])
+        total += w[i:i + 1024] @ (transform * tr ** spec.t * np.conj(tr) ** spec.s).real
+    return total * (2.0 * K / (n - 1)) / 3.0  # not k[1] - k[0], which loses 1e-13 to rounding
+
+
+@pytest.mark.parametrize("spec, lam", PATH_CASES + (
+    (TorusSpec(4, 1, 3, 32, 1 / 32), 20.0),    # the action locked at 41399.44975
+    (TorusSpec(3, 1, 2, 128, 1 / 128), 20.0),  # 281,905 nodes
+))
+def test_fourier_route_matches_the_direct_quadrature(spec, lam):
+    S = spectral_action(spec, CutoffFn("gaussian"), lam, method="fourier")
+    want = fourier_restated(spec, lam)
+    assert abs(S - want) <= 1e-13 * abs(want)
+
+
+def test_cutoff_is_the_exponential_bit_for_bit():
+    # x = u^2 from 0 past 760, dense where exp(-x) is subnormal (from 708.4) and where it
+    # rounds to 0 (from 745.13); shuffled too, so computed and skipped entries interleave
+    x = np.concatenate([np.linspace(0.0, 770.0, 40001), np.linspace(706.0, 712.0, 20001),
+                        np.linspace(745.0, 746.5, 20001), [np.inf, np.nan]])
+    x = np.concatenate([x, np.random.default_rng(0).permutation(x)])
+    u = np.sqrt(x)
+    with np.errstate(over="ignore"):
+        for got, want in (
+            (CutoffFn("gaussian")(u), np.exp(-(u ** 2))),
+            (CutoffFn("gaussian")(-u), np.exp(-(u ** 2))),
+            (CutoffFn("exp")(x), np.exp(-x)),
+            (CutoffFn("exp")(-x), np.exp(x)),  # overflows to inf
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.isnan(got), np.isnan(x))
+    # a scalar in gives a scalar out, as from np.exp
+    assert type(CutoffFn("gaussian")(3.0)) is type(np.exp(-9.0)) and CutoffFn("exp")(800.0) == 0.0
 
 
 U_SAMPLES = np.linspace(-50.0, 50.0, 2001)
@@ -167,8 +218,9 @@ def test_streamed_grid_matches_dense_sum(f):
 
 
 @pytest.mark.parametrize("spec, method", [
-    (TorusSpec(3, 1, 2, 128, 1 / 128), "fourier"),  # 281,001 nodes x 128 modes
+    (TorusSpec(3, 1, 2, 128, 1 / 128), "fourier"),  # 281,905 nodes x 128 modes
     (TorusSpec(4, 1, 3, 56, 1 / 56), "grid"),       # 9.8e6 eigenvalues
+    (TorusSpec(1, 1, 0, 8192, 1.0), "fourier"),     # 4001 nodes x 4097 modes: _BLOCK caps R at 3
 ])
 def test_spectral_action_memory_is_bounded(spec, method):
     tracemalloc.start()
