@@ -1,7 +1,7 @@
 """Command-line front end: tables, module dumps, model checks, torus scans.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 validation error, 2 numerical-check failure.
+1 validation or usage error, 2 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -244,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a failed check here
+        return 1 if exc.code else 0
     try:
         if args.seed is None:
             args.seed = int(os.environ.get("NCG_SEED", "0"))

@@ -37,7 +37,7 @@ MAX_DIM = 12  # dense-algebra guard: D = 2^(d/2) <= 64
 
 @dataclass(frozen=True)
 class Signature:
-    """Signature (q, p): q negative directions, p positive, q+p even >= 2."""
+    """Signature (q, p): q negative directions, p positive, q+p even, 2 <= q+p <= MAX_DIM."""
 
     q: int
     p: int
@@ -50,6 +50,8 @@ class Signature:
             raise ValueError("total dimension must be even and >= 2")
         if self.q % 2 != self.p % 2:
             raise ValueError("only even-even and odd-odd signatures are supported")
+        if d > MAX_DIM:
+            raise ValueError(f"dimension {d} exceeds the dense-algebra cap {MAX_DIM}")
 
     @property
     def d(self) -> int:
@@ -211,10 +213,6 @@ def build(sig: Signature) -> CliffordModule:
     ones carry two Fock copies with the vector part of the split (1, 1)
     factor acting off-diagonally.
     """
-    if not isinstance(sig, Signature):
-        sig = Signature(*sig)
-    if sig.d > MAX_DIM:
-        raise ValueError(f"dimension {sig.d} exceeds the dense-algebra cap {MAX_DIM}")
     q, p = sig.q, sig.p
 
     if q % 2 == 0:

@@ -119,6 +119,12 @@ class IndefiniteTriple:
         object.__setattr__(self, "dirac", _read_only(self.dirac))
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
+        n, alg = self.form.dim, self.algebra
+        for name, mats in (("chi", [self.chi]), ("dirac", [self.dirac]), ("J", [self.cc.mat]),
+                           ("algebra_basis", alg.basis), ("involution", alg.involution)):
+            for M in mats:
+                if M.shape != (n, n):
+                    raise ValueError(f"{name} has shape {M.shape}, not ({n}, {n}) as the gram")
 
     @property
     def dim(self) -> int:
@@ -138,9 +144,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return all(v <= AXIOM_TOL for v in self.violations.values())
-
-    def __bool__(self):
-        return self.ok
 
     @property
     def worst(self) -> float:

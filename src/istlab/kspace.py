@@ -425,9 +425,6 @@ class SymmetryReport:
     reason: str = ""
     violations: dict = field(default_factory=dict)
 
-    def __bool__(self):
-        return self.ok
-
 
 def is_fundamental_symmetry(eta, form: KreinForm) -> SymmetryReport:
     """Check eta^2 = 1, eta^x = eta, and positivity of (., eta .)."""
@@ -471,7 +468,7 @@ def relate_fundamental_symmetries(eta, nu, form: KreinForm) -> np.ndarray:
     nu = as_matrix(nu)
     for name, cand in (("eta", eta), ("nu", nu)):
         rep = is_fundamental_symmetry(cand, form)
-        if not rep:
+        if not rep.ok:
             raise ValueError(f"{name} is not a fundamental symmetry: {rep.reason}")
     P_half, P_ihalf = _posdef_sqrt(form.gram @ eta)
     Hp = P_half @ (eta @ nu) @ P_ihalf

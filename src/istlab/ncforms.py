@@ -63,13 +63,12 @@ def q_space(triple: IndefiniteTriple, varpi=None) -> QSpace:
     return QSpace(space, G, definite, junk)
 
 
-def project_two_form(triple: IndefiniteTriple, X, varpi=None, qspace: QSpace = None):
+def project_two_form(triple: IndefiniteTriple, X, varpi=None):
     """Representative of a two-form orthogonal to Q for Re tr(varpi . varpi .).
 
     This is the residual of the orthogonal projection of X onto Q; members
     of Q project to zero.
     """
-    if qspace is None:
-        qspace = q_space(triple, varpi)
+    qspace = q_space(triple, varpi)
     _, resid = real_bilinear_project(X, qspace.forms.basis, varpi, gram=qspace.gram)
     return resid

@@ -21,7 +21,7 @@ _YUKAWA_KEYS = ("Ynu", "Ye", "Yu", "Yd", "YR")  # file keys of the YukawaSet fie
 
 def encode_matrix(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:

@@ -163,7 +163,7 @@ def sm_algebra(n_gen: int) -> FiniteAlgebra:
 def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
     i2 = np.eye(2, dtype=complex)
     z3 = np.zeros((3, 3), dtype=complex)
-    elements = []  # (label, lam, q, m, lam*, q*, m*)
+    elements = []  # (label, lam, q, m); the involution takes (conj lam, q^dag, m^dag)
     elements.append(("c:1", 1, np.zeros((2, 2)), z3))
     elements.append(("c:i", 1j, np.zeros((2, 2)), z3))
     for label, q in (
@@ -440,23 +440,10 @@ def gauge_coupling_matrices(a_y, a_w, a_c, n_gen):
 
 
 def higgs_coupling_matrix(model: SMModel, q_phi) -> np.ndarray:
-    """The fermion mass/Higgs coupling block matrix -eta_F (D_F + H + JHJ^-1)."""
-    q_phi = as_matrix(q_phi)
-    n = model.n_gen
-    s, eps_f = model.s, model.eps_f
-    Y = yukawa_block(model.yukawas)
-    M = majorana_block(model.yukawas)
-    qt = _lift_left(q_phi, n)
-    k = Y.shape[0]
-    return _four_blocks(
-        Y.conj().T @ qt.conj().T,
-        qt @ Y,
-        -eps_f * M.conj(),
-        -s * M,
-        s * Y.T @ qt.T,
-        s * qt.conj() @ Y.conj(),
-        k,
-    )
+    """The mass/Higgs coupling matrix -eta_F (D_F + H + JHJ^-1), H the one-form at q_phi - 1."""
+    t = model.triple
+    H = higgs_one_form(model, as_matrix(q_phi) - np.eye(2))
+    return -t.form.gram @ (t.dirac + H + t.cc.conjugate(H))
 
 
 def majorana_pairing(model: SMModel, psi) -> complex:

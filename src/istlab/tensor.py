@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import MAX_DIM, CliffordModule, Signature, _assemble
+from .clifford import CliffordModule, Signature, _assemble
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
 from .kspace import (
     RTOL,
@@ -55,9 +55,7 @@ def tensor_modules(m1: CliffordModule, m2: CliffordModule) -> CliffordModule:
     """
     q1, p1 = m1.sig.q, m1.sig.p
     q2, p2 = m2.sig.q, m2.sig.p
-    sig = Signature(q1 + q2, p1 + p2)
-    if sig.d > MAX_DIM:
-        raise ValueError(f"dimension {sig.d} exceeds the dense-algebra cap {MAX_DIM}")
+    sig = Signature(q1 + q2, p1 + p2)  # refuses a product over the cap before any kron
 
     eye2 = np.eye(m2.dim)
     first = [np.kron(g, eye2) for g in m1.gammas]
@@ -123,7 +121,7 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
 
 def _privileged_check(eta, t: IndefiniteTriple, name: str):
     rep = is_fundamental_symmetry(eta, t.form)
-    if not rep:
+    if not rep.ok:
         raise ValueError(f"{name} is not a fundamental symmetry: {rep.reason}")
     operator_parity(eta, t.chi)  # homogeneity
     t.cc.parity_sign(eta)  # commutes or anticommutes with J
@@ -138,6 +136,6 @@ def tensor_eta(eta1, eta2, t1: IndefiniteTriple, t2: IndefiniteTriple) -> np.nda
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
     eta = np.kron(eta1, np.linalg.solve(beta, eta2))
     rep = is_fundamental_symmetry(eta, _product_form(t1, t2))
-    if not rep:
+    if not rep.ok:
         raise ValueError(f"tensored symmetry fails: {rep.reason}")
     return eta

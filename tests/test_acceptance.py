@@ -8,6 +8,7 @@ rather than loosened.
 """
 
 import inspect
+import time
 
 from istlab import verify
 
@@ -82,3 +83,14 @@ def test_criteria_take_only_run_wide_arguments():
              for p in inspect.signature(fn).parameters.values()
              if (p.name, p.kind is p.VAR_KEYWORD) not in allowed]
     assert not extra
+
+
+def test_run_criterion_fails_a_criterion_over_its_budget(monkeypatch):
+    def slow(**_):
+        time.sleep(0.05)
+        return True, "done"
+
+    monkeypatch.setattr(verify, "CRITERIA", [(1, "slow", slow, 0.01)])
+    result = verify.run_criterion(1)
+    assert not result.ok and result.elapsed >= 0.05
+    assert result.detail == "done [exceeded 0.01s budget]"

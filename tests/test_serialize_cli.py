@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas
-from istlab import serialize
+from istlab import serialize, verify
 from istlab.clifford import Signature, build
 from istlab.cli import main
 from istlab.ist import check_axioms, from_clifford_module
@@ -68,6 +68,13 @@ def test_cli_cardinal_table(capsys):
                  "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[1].startswith("east,4,2,")
+
+
+def test_cli_ko_metric_table(capsys):
+    # (eps, eps'') at KO dimension n = 0, 2, 4, 6: J^2 and the sign of J chi = eps'' chi J
+    assert main(["signs", "--table", "ko-metric", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows == ["n,eps,eps2", "0,1,1", "2,-1,-1", "4,-1,1", "6,1,-1"]
 
 
 def test_cli_clifford_summary_and_dump(capsys):
@@ -177,6 +184,49 @@ def test_cli_sm_refuses_z_weights_that_are_not_numbers(token, command, rng, tmp_
     assert captured.out == ""
 
 
+def _identity(n):
+    return serialize.encode_matrix(np.eye(n))
+
+
+@pytest.mark.parametrize("edit, field, shape", [
+    (lambda d: {**d, "algebra_basis": [_identity(8)], "involution": [_identity(8)]},
+     "algebra_basis", (8, 8)),
+    (lambda d: {**d, "involution": [_identity(8)]}, "involution", (8, 8)),
+    (lambda d: {**d, "chi": _identity(2)}, "chi", (2, 2)),
+    (lambda d: {**d, "J": _identity(8)}, "J", (8, 8)),
+    (lambda d: {**d, "dirac": serialize.encode_matrix(np.zeros((4, 3)))}, "dirac", (4, 3)),
+], ids=["basis-8x8", "involution-8x8", "chi-2x2", "J-8x8", "dirac-4x3"])
+def test_cli_ist_check_refuses_operators_of_another_shape(edit, field, shape, module_of,
+                                                         tmp_path, capsys):
+    # a 4x4 Cl(1,3) triple with one operator resized: exit 1 naming the field, no traceback
+    data = serialize.triple_to_dict(from_clifford_module(module_of(1, 3), "south"))
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(edit(data)))
+    assert main(["ist-check", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field} has shape {shape}, not (4, 4) as the gram\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--left", "1,1,1", "--right", "0,2"],
+    ["verify-all", "--max-dim", "abc"],
+    ["clifford", "--q", "1"],
+    [],
+], ids=["bad-pair", "bad-int", "missing-option", "no-command"])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # argparse would exit 2, the code reserved for failed numerical checks
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: istlab") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["clifford", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: istlab")
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: [], lambda d: "x", lambda d: {**d, "sigma": None},
     lambda d: {**d, "algebra_basis": 5}, lambda d: {**d, "gram": {}},
@@ -204,6 +254,21 @@ def test_cli_verify_all_refuses_a_max_dim_outside_its_range(capsys, max_dim):
     # 1 would pass criteria 1, 3 and 4 over nothing; 14 is past the Clifford cap
     assert main(["verify-all", "--max-dim", max_dim]) == 1
     assert capsys.readouterr().err.startswith("error: max_dim must be in 4...12")
+
+
+def test_cli_verify_all_reports_every_listed_criterion(monkeypatch, capsys):
+    five = next(c for c in verify.CRITERIA if c[0] == 5)  # space-time tables, milliseconds
+    fails = (99, "always fails", lambda **_: (False, "by design"), 10.0)
+    monkeypatch.setattr(verify, "CRITERIA", [five])
+    assert main(["verify-all", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("5,space-time tables,pass,")
+    assert captured.err.startswith("[PASS] criterion  5: space-time tables (")
+    monkeypatch.setattr(verify, "CRITERIA", [five, fails])
+    assert main(["verify-all", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert [r.split(",")[2] for r in captured.out.splitlines()[1:]] == ["pass", "FAIL"]
+    assert captured.err.splitlines()[1].endswith(") by design")
 
 
 def test_cli_spectral_action(capsys):

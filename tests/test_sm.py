@@ -21,6 +21,7 @@ from istlab.sm import (
     YukawaSet,
     ZParams,
     _blockdiag,
+    _lift_left,
     build_sm,
     couplings,
     gauge_coupling_matrices,
@@ -32,8 +33,10 @@ from istlab.sm import (
     lagrangian_coeffs,
     lagrangian_coeffs_oracle,
     sm_algebra,
+    majorana_block,
     majorana_pairing,
     quaternion,
+    yukawa_block,
     yukawa_traces,
     z_matrix,
 )
@@ -153,6 +156,39 @@ def test_higgs_coupling_matrix_blocks(rng):
     bare = higgs_coupling_matrix(model, np.zeros((2, 2)))
     assert np.abs(bare[model.block(1), model.block(0)]).max() == 0.0
     assert np.abs(bare[model.block(2), model.block(0)]).max() > 0.0
+
+
+def _six_block_coupling(model, q_phi) -> np.ndarray:
+    """-eta_F (D_F + H + JHJ^-1) written out block by block, as a reference.
+
+    With q~ the left lift of q_phi, the nonzero blocks (0-indexed R, L, Rbar, Lbar) are
+    (0,1) = Y^dag q~^dag, (1,0) = q~ Y, (0,2) = -eps_F conj(M), (2,0) = -s M,
+    (2,3) = s Y^T q~^T and (3,2) = s conj(q~) conj(Y).
+    """
+    s, eps_f = model.s, model.eps_f
+    Y, M = yukawa_block(model.yukawas), majorana_block(model.yukawas)
+    qt = _lift_left(np.asarray(q_phi, dtype=complex), model.n_gen)
+    blocks = {(0, 1): Y.conj().T @ qt.conj().T, (1, 0): qt @ Y,
+              (0, 2): -eps_f * M.conj(), (2, 0): -s * M,
+              (2, 3): s * Y.T @ qt.T, (3, 2): s * qt.conj() @ Y.conj()}
+    out = np.zeros((4 * model.block_dim,) * 2, dtype=complex)
+    for (i, j), blk in blocks.items():
+        out[model.block(i), model.block(j)] = blk
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s, eps_f", [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+def test_higgs_coupling_matrix_matches_the_six_blocks(n, s, eps_f, rng):
+    model = build_sm(random_yukawas(rng, n, s, eps_f), s, eps_f)
+    q_phi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))  # not a quaternion
+    for q in (q_phi, quaternion(0.6 - 0.1j, 0.2 + 0.3j), np.eye(2), np.zeros((2, 2))):
+        got, want = higgs_coupling_matrix(model, q), _six_block_coupling(model, q)
+        scale = max(1.0, np.abs(want).max())
+        for i in range(4):
+            for j in range(4):
+                diff = got[model.block(i), model.block(j)] - want[model.block(i), model.block(j)]
+                assert np.abs(diff).max() <= 1e-15 * scale, (i, j)
 
 
 def test_useful_identities(rng):
