@@ -225,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--coeffs", action="store_true")
     p.add_argument("--couplings", action="store_true")
-    p.add_argument("--higgs-projection", nargs=2, type=complex, metavar=("AH", "BH"))
+    p.add_argument("--higgs-projection", nargs=2, type=complex, metavar=("AH", "BH"),
+                   help='complex quaternion entries; put one that starts with - in parentheses, '
+                        '"(-0.2+0.5j)"')
 
     p = add("spectral-action", _cmd_spectral_action, help="discrete torus actions")
     p.add_argument("--d", type=int, required=True)

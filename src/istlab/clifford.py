@@ -1,15 +1,10 @@
 """Explicit spinor representations of even Clifford algebras Cl(q, p).
 
-Even-even signatures are represented on the fermionic Fock space of the
-complex structure's eigenspace: generators come in pairs
-gamma(e) = a + a^x and gamma(Ce) = i(a - a^x), chirality is the Fock
-parity, the Robinson gram is the (pseudo-orthonormal) Hodge product, and
-charge conjugation acts by Hodge duality on basis monomials.  Odd-odd
-signatures split off a (1, 1) Pauli block and carry two copies of the
-Fock space of the remaining even-even part.
-
-Basis monomials are ordered by subset bitmask, vacuum first, so all
-matrices are reproducible bit for bit.
+Every module is built from the three d = 2 modules Cl(2, 0), Cl(0, 2) and
+Cl(1, 1), written out as literal 2 x 2 matrices, by the graded tensor
+product that ``tensor.tensor_modules`` also uses: Cl(q, p) is a plane
+times the rest.  The planes and the order of the products are fixed, so
+all matrices are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +43,6 @@ class Signature:
         d = self.q + self.p
         if d % 2 or d < 2:
             raise ValueError("total dimension must be even and >= 2")
-        if self.q % 2 != self.p % 2:
-            raise ValueError("only even-even and odd-odd signatures are supported")
         if d > MAX_DIM:
             raise ValueError(f"dimension {d} exceeds the dense-algebra cap {MAX_DIM}")
 
@@ -95,75 +88,6 @@ class CliffordModule:
         return sum(c * g for c, g in zip(v, self.gammas))
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _fock_ladder(nmodes: int, eps: list) -> tuple[list, list]:
-    """Creation/annihilation matrices on the bitmask-ordered subset basis.
-
-    eps[j] is the squared norm of mode j; annihilation picks it up:
-    a_j = eps_j * (a_j^x)^T on this real basis.
-    """
-    dim = 1 << nmodes
-    cre, ann = [], []
-    for j in range(nmodes):
-        bit = 1 << j
-        c = np.zeros((dim, dim))
-        for I in range(dim):
-            if I & bit:
-                continue
-            sign = -1.0 if _popcount(I & (bit - 1)) % 2 else 1.0
-            c[I | bit, I] = sign
-        cre.append(c)
-        ann.append(eps[j] * c.T)
-    return cre, ann
-
-
-def _perm_parity(seq) -> int:
-    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
-
-
-def _fock_data(q2: int, p2: int):
-    """Gammas, chi, Hodge gram, and J+ matrix of the even-even Fock module.
-
-    Valid for q2 = p2 = 0 as well (one-dimensional space, no generators).
-    """
-    if q2 % 2 or p2 % 2:
-        raise ValueError("Fock construction needs an even-even signature")
-    nmodes = (q2 + p2) // 2
-    eps = [-1] * (q2 // 2) + [1] * (p2 // 2)
-    dim = 1 << nmodes
-    cre, ann = _fock_ladder(nmodes, eps)
-
-    gammas = []
-    for j in range(nmodes):
-        gammas.append((ann[j] + cre[j]).astype(complex))
-        gammas.append(1j * (ann[j] - cre[j]))
-
-    sizes = np.array([_popcount(I) for I in range(dim)])
-    chi = np.diag(np.where(sizes % 2, -1.0, 1.0)).astype(complex)
-
-    # the first q2/2 modes have squared norm -1: each occupied one flips the sign
-    negative = (1 << (q2 // 2)) - 1
-    gram = np.diag([(-1.0) ** _popcount(I & negative) for I in range(dim)]).astype(complex)
-
-    # Hodge duality on basis monomials, phase fixed to 1
-    J = np.zeros((dim, dim), dtype=complex)
-    for I in range(dim):
-        inside = [j for j in range(nmodes) if I & (1 << j)]
-        outside = [j for j in range(nmodes) if not I & (1 << j)]
-        ell = len(inside)
-        coeff = _perm_parity(inside + outside)
-        if (ell * (ell - 1) // 2 + q2 // 2) % 2:
-            coeff = -coeff
-        for j in outside:
-            coeff *= eps[j]
-        Ic = sum(1 << j for j in outside)
-        J[Ic, I] = coeff
-    return gammas, chi, gram, J
-
-
 def _normalized_symmetry(mats, gram: KreinForm) -> np.ndarray:
     """Scale a product of generators into a fundamental symmetry.
 
@@ -206,41 +130,56 @@ def _assemble(sig: Signature, gammas, chi, gram, jplus_mat) -> CliffordModule:
     )
 
 
-def build(sig: Signature) -> CliffordModule:
-    """Construct the canonical Cl(q, p) module.
+def _plane(q: int):
+    """Gammas, chi, Robinson gram and J+ of the d = 2 module Cl(q, 2 - q).
 
-    Even-even signatures use the Fock representation directly; odd-odd
-    ones carry two Fock copies with the vector part of the split (1, 1)
-    factor acting off-diagonally.
+    New arrays on every call: a module keeps its gammas and chi without copying.
     """
-    q, p = sig.q, sig.p
+    e = np.array([[0, -1], [1, 0]], dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    chi = np.diag([1, -1]).astype(complex)
+    if q == 2:
+        return [e, np.array([[0, -1j], [-1j, 0]])], chi, chi, e
+    if q == 0:
+        return [x, np.array([[0, 1j], [-1j, 0]])], chi, np.eye(2, dtype=complex), x
+    return [e, x], chi, x, np.eye(2, dtype=complex)
 
-    if q % 2 == 0:
-        gammas, chi, gram, J = _fock_data(q, p)
-        return _assemble(sig, gammas, chi, gram, J)
 
-    # odd-odd: V = V1(1,1) + V2(q-1, p-1), S = Fock + Fock
-    g2, chi2, gram2, J2 = _fock_data(q - 1, p - 1)
-    m = chi2.shape[0]
-    Z = np.zeros((m, m), dtype=complex)
-    I = np.eye(m, dtype=complex)
+def _product(sig1: Signature, data1, sig2: Signature, data2):
+    """Gammas, chi, Robinson gram and J+ of the graded tensor product of two modules.
 
-    def offdiag(upper, lower):
-        return np.block([[Z, upper], [lower, Z]])
+    Generators are gamma(v) x 1 and chi_1 x gamma(w), reordered so the
+    negative directions come first.  The Robinson gram tensors with the
+    second factor's Robinson or anti-Robinson gram according to the
+    parity of q_1, and the charge conjugations mix according to the
+    parity of (p_1 - q_1)/2.
+    """
+    q1, p1, q2 = sig1.q, sig1.p, sig2.q
+    g1, chi1, gram1, j1 = data1
+    g2, chi2, gram2, j2 = data2
+    first = np.kron(np.stack(g1), np.eye(len(chi2)))
+    second = np.kron(chi1, np.stack(g2))
+    gammas = [*first[:q1], *second[:q2], *first[q1:], *second[q2:]]
+    j2_plus = chi2 @ j2 if ((p1 - q1) // 2) % 2 else j2
+    h2 = gram2 if q1 % 2 == 0 else (1j ** q2) * gram2 @ chi2
+    return gammas, np.kron(chi1, chi2), np.kron(gram1, h2), np.kron(j1, j2_plus)
 
-    def diag(top, bottom):
-        return np.block([[top, Z], [Z, bottom]])
 
-    gamma_fm = offdiag(-I, I)   # negative direction of the (1,1) block
-    gamma_fp = offdiag(I, I)    # positive direction
-    doubled = [diag(g, -g) for g in g2]
+def _data(q: int, p: int):
+    """Raw Cl(q, p) data: a d = 2 module, or the product of a plane and the rest.
 
-    gammas = [gamma_fm] + doubled[: q - 1] + [gamma_fp] + doubled[q - 1:]
-    chi = diag(chi2, -chi2)
-    cross = gram2 @ chi2
-    gram = offdiag(cross, cross)
-    J = diag(J2, J2)
-    return _assemble(sig, gammas, chi, gram, J)
+    The plane is Cl(1, 1) for odd q, else Cl(2, 0) while q >= 2, else Cl(0, 2).
+    """
+    if q + p == 2:
+        return _plane(q)
+    a = 1 if q % 2 else min(q, 2)
+    plane, rest = Signature(a, 2 - a), Signature(q - a, p - 2 + a)
+    return _product(plane, _plane(a), rest, _data(rest.q, rest.p))
+
+
+def build(sig: Signature) -> CliffordModule:
+    """Construct the canonical Cl(q, p) module from d = 2 planes and graded products."""
+    return _assemble(sig, *_data(sig.q, sig.p))
 
 
 def verify_relations(module: CliffordModule) -> float:

@@ -46,6 +46,13 @@ def clifford_to_dict(module) -> dict:
     }
 
 
+def _integer(value, field: str, kind: str) -> int:
+    """A JSON integer field; int() would take 1.9 as 1, "1" as 1 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{kind} file has a non-integer {field}: {value!r}")
+    return value
+
+
 def triple_to_dict(triple: IndefiniteTriple) -> dict:
     return {
         "gram": encode_matrix(triple.form.gram),
@@ -70,7 +77,7 @@ def triple_from_dict(data: dict) -> IndefiniteTriple:
             cc=AntilinearOperator(decode_matrix(data["J"])),
             dirac=decode_matrix(data["dirac"]),
             algebra=FiniteAlgebra(basis, involution),
-            sigma=int(data.get("sigma", 0)),
+            sigma=_integer(data.get("sigma", 0), "sigma", "triple"),
         )
     except KeyError as exc:
         raise ValueError(f"triple file is missing field {exc}") from exc
@@ -88,9 +95,7 @@ def sm_input_from_dict(data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(data).__name__}")
     try:
-        n = int(data["N"])
-        s = int(data["s"])
-        eps_f = int(data["epsF"])
+        n, s, eps_f = (_integer(data[key], key, "model") for key in ("N", "s", "epsF"))
         y = YukawaSet(*(decode_matrix(data["yukawas"][key]) for key in _YUKAWA_KEYS))
     except KeyError as exc:
         raise ValueError(f"model file is missing field {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature, _assemble
+from .clifford import CliffordModule, Signature, _assemble, _product
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
 from .kspace import (
     RTOL,
@@ -45,33 +45,10 @@ def beta_twist(sigma1: int, sigma2: int, chi2) -> np.ndarray:
 
 
 def tensor_modules(m1: CliffordModule, m2: CliffordModule) -> CliffordModule:
-    """Clifford module of the orthogonal sum of the two underlying spaces.
-
-    Generators are gamma(v) x 1 and chi_1 x gamma(w), reordered so the
-    negative directions come first.  The Robinson gram tensors with the
-    second factor's Robinson or anti-Robinson gram according to the
-    parity of q_1, and the charge conjugations mix according to the
-    parity of (p_1 - q_1)/2.
-    """
-    q1, p1 = m1.sig.q, m1.sig.p
-    q2, p2 = m2.sig.q, m2.sig.p
-    sig = Signature(q1 + q2, p1 + p2)  # refuses a product over the cap before any kron
-
-    eye2 = np.eye(m2.dim)
-    first = [np.kron(g, eye2) for g in m1.gammas]
-    second = [np.kron(m1.chi, g) for g in m2.gammas]
-    gammas = first[:q1] + second[:q2] + first[q1:] + second[q2:]
-
-    chi = np.kron(m1.chi, m2.chi)
-
-    swap = ((p1 - q1) // 2) % 2
-    j2_plus = m2.jminus.mat if swap else m2.jplus.mat
-    jplus = np.kron(m1.jplus.mat, j2_plus)
-
-    h2 = m2.gram_robinson.gram if q1 % 2 == 0 else m2.gram_antirobinson.gram
-    gram = np.kron(m1.gram_robinson.gram, h2)
-
-    return _assemble(sig, gammas, chi, gram, jplus)
+    """Clifford module of the orthogonal sum of the two spaces, by ``clifford._product``."""
+    sig = Signature(m1.sig.q + m2.sig.q, m1.sig.p + m2.sig.p)  # the cap, before any kron
+    data = [(m.gammas, m.chi, m.gram_robinson.gram, m.jplus.mat) for m in (m1, m2)]
+    return _assemble(sig, *_product(m1.sig, data[0], m2.sig, data[1]))
 
 
 def _product_form(t1: IndefiniteTriple, t2: IndefiniteTriple) -> KreinForm:

@@ -13,6 +13,7 @@ from istlab.clifford import (
     _normalized_symmetry,
     build,
     cc_solution_space,
+    convention_pairing,
     expected_signs,
     extract_signs,
     pin_norms,
@@ -38,6 +39,16 @@ def test_build_rejects_oversize():
         build(Signature(7, 7))
 
 
+def test_gamma_refuses_a_vector_of_another_length(module_of):
+    with pytest.raises(ValueError, match="vector length does not match the signature"):
+        module_of(1, 3).gamma([1.0, 0.0, 0.0])
+
+
+def test_convention_pairing_refuses_an_unknown_name(module_of):
+    with pytest.raises(ValueError, match="unknown convention 'up'"):
+        convention_pairing(module_of(1, 3), "up")
+
+
 def test_cl02_explicit_matrices(module_of):
     m = module_of(0, 2)
     assert_allclose(m.gammas[0], [[0, 1], [1, 0]])
@@ -45,6 +56,18 @@ def test_cl02_explicit_matrices(module_of):
     assert_allclose(m.chi, np.diag([1.0, -1.0]))
     # plain conjugation on the first generator implements charge conjugation
     assert_allclose(m.jplus.mat, [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("q, gammas, gram, jplus", [
+    (2, [[[0, -1], [1, 0]], [[0, -1j], [-1j, 0]]], [[1, 0], [0, -1]], [[0, -1], [1, 0]]),
+    (1, [[[0, -1], [1, 0]], [[0, 1], [1, 0]]], [[0, 1], [1, 0]], np.eye(2)),
+], ids=["Cl(2,0)", "Cl(1,1)"])
+def test_other_planes_explicit_matrices(q, gammas, gram, jplus, module_of):
+    m = module_of(q, 2 - q)
+    assert_allclose(m.gammas, gammas)
+    assert_allclose(m.chi, np.diag([1.0, -1.0]))
+    assert_allclose(m.gram_robinson.gram, gram)
+    assert_allclose(m.jplus.mat, jplus)
 
 
 def test_cl13_explicit_matrices(module_of):

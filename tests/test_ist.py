@@ -161,6 +161,11 @@ def test_fluctuate_zero_returns_dirac(module_of):
     assert_allclose(fluctuate(t, np.zeros((4, 4))), t.dirac, atol=1e-12)
 
 
+def test_finite_algebra_refuses_unaligned_involution_images():
+    with pytest.raises(ValueError, match="basis and involution images must align"):
+        FiniteAlgebra([np.eye(2), np.eye(2)], [np.eye(2)])
+
+
 def test_fluctuate_rejects_outsiders(module_of):
     t = south_triple(module_of, 1, 3)
     outside = t.form.gram @ t.chi  # even operator, not a one-form

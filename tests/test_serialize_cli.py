@@ -338,9 +338,14 @@ def test_cli_spectral_action_refuses_non_finite_spacing(capsys, L):
 
 
 def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):
-    # without the cap this would build 24 complex 4096 x 4096 generators
-    def kron(*_):
-        raise AssertionError("Kronecker product built before the cap check")
+    # without the cap this would build 24 complex 4096 x 4096 generators; building each
+    # Cl(6, 6) factor takes Kronecker products of up to 64 columns, the cap's spinor size
+    real_kron = np.kron
+
+    def kron(a, b):
+        if a.shape[-1] * b.shape[-1] > 64:
+            raise AssertionError("Kronecker product over the cap built before the cap check")
+        return real_kron(a, b)
 
     monkeypatch.setattr(np, "kron", kron)
     assert main(["tensor", "--left", "6,6", "--right", "6,6"]) == 1
@@ -411,3 +416,68 @@ def test_cli_ist_check_accepts_the_empty_algebra(module_of, tmp_path, capsys):
     assert main(["ist-check", "--model", str(path), "--format", "csv"]) == 0
     captured = capsys.readouterr()
     assert "algebra_closed,0.0" in captured.out.splitlines() and "n=6 m=4" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s", -1.5), ("epsF", -1.2), ("N", 1.9), ("N", "1"), ("N", True), ("s", -1.0),
+], ids=["s-float", "epsF-float", "N-float", "N-string", "N-bool", "s-integral-float"])
+def test_cli_sm_refuses_integer_fields_that_are_not_json_integers(field, value, rng, tmp_path,
+                                                                 capsys):
+    # int() used to truncate 1.9 to 1 and read "1" and true as 1
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(*[1.0] * 6))
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    assert main(["sm", "--model", str(path), "--coeffs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: model file has a non-integer {field}: {value!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sigma", [1.9, True, "1", 0.7])
+def test_cli_ist_check_refuses_a_sigma_that_is_not_a_json_integer(sigma, module_of, tmp_path,
+                                                                 capsys):
+    # 0.7 used to be read as 0 and fail the chi_adjoint axiom with exit 2
+    data = serialize.triple_to_dict(from_clifford_module(module_of(1, 3), "south"))
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({**data, "sigma": sigma}))
+    assert main(["ist-check", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: triple file has a non-integer sigma: {sigma!r}\n"
+    assert captured.out == ""
+
+
+def test_cli_sm_higgs_projection_takes_parenthesized_negative_entries(rng, tmp_path, capsys):
+    from istlab.sm import higgs_projection_closed, quaternion
+
+    y = random_yukawas(rng, 1)
+    path = tmp_path / "sm_n1.json"
+    serialize.dump_sm_input(str(path), y, -1, -1)
+    argv = ["sm", "--model", str(path), "--higgs-projection", "(0.3+0.1j)", "(-0.2+0.5j)"]
+    assert main(argv) == 0
+    got = serialize.decode_matrix(json.loads(capsys.readouterr().out))
+    want = higgs_projection_closed(quaternion(0.3 + 0.1j, -0.2 + 0.5j), y)
+    assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("entries", [["0.3+0.1j", "-0.2+0.5j"], ["0.3", "-0.5j"]])
+def test_cli_sm_higgs_projection_bare_negative_entry_is_a_usage_error(entries, rng, tmp_path,
+                                                                     capsys):
+    # argparse reads a bare entry that starts with - as an option
+    path = tmp_path / "sm_n1.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1)
+    assert main(["sm", "--model", str(path), "--higgs-projection", *entries]) == 1
+    assert "expected 2 arguments" in capsys.readouterr().err
+
+
+def test_cli_sm_coeffs_refuses_a_model_without_z(rng, tmp_path, capsys):
+    path = tmp_path / "sm_n1.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1)
+    assert main(["sm", "--model", str(path), "--coeffs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "model file has no z block\n" and captured.out == ""
+
+
+def test_cli_spectral_action_refuses_a_scan_without_a_count(capsys):
+    torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "16", "--L", "1"]
+    assert main(["spectral-action", *torus, "--lambda", "10", "--scan-a", "1:2"]) == 1
+    assert "expected lo:hi:n" in capsys.readouterr().err

@@ -239,6 +239,17 @@ def test_spectral_action_rejects_cutoff_without_normal_square(lam):
             spectral_action(TorusSpec(2, 1, 1, 8, 0.125), CutoffFn("gaussian"), lam, method)
 
 
+def test_spectral_action_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        spectral_action(TorusSpec(2, 1, 1, 8, 0.125), CutoffFn("gaussian"), 5.0, method="bogus")
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_heat_kernel_limit_refuses_a_theta_that_is_not_negative(theta):
+    with pytest.raises(ValueError, match="theta must be real and negative"):
+        heat_kernel_limit_check(TorusSpec(2, 0, 2, 8, 0.5), theta)
+
+
 def test_spectral_action_gaussian_saturates_at_large_cutoff():
     spec = TorusSpec(2, 0, 2, 6, 0.5)
     S = spectral_action(spec, CutoffFn("gaussian"), 1e4)

@@ -64,6 +64,22 @@ def test_tensor_modules_refuses_products_over_the_cap(module_of, monkeypatch):
         tensor_modules(m1, m2)
 
 
+def _matrices(m):
+    return [*m.gammas, m.chi, m.eta_plus, m.eta_minus, m.gram_robinson.gram,
+            m.gram_antirobinson.gram, m.jplus.mat, m.jminus.mat]
+
+
+@pytest.mark.parametrize("q, p", [sig for sig in supported_signatures(12) if sum(sig) >= 4])
+def test_build_is_the_tensor_product_of_its_plane_and_rest(q, p):
+    # the plane is Cl(1,1) for odd q, Cl(2,0) for even q >= 2 and Cl(0,2) for q = 0
+    a = 1 if q % 2 else min(q, 2)
+    prod = tensor_modules(build(Signature(a, 2 - a)), build(Signature(q - a, p - 2 + a)))
+    module = build(Signature(q, p))
+    assert prod.sig == module.sig and prod.dim == module.dim
+    for got, want in zip(_matrices(module), _matrices(prod), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_tensor_generator_adjoints(module_of):
     prod = tensor_modules(module_of(1, 1), module_of(0, 2))
     for g in prod.gammas:
