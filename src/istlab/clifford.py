@@ -9,7 +9,6 @@ all matrices are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .kspace import (
     AntilinearOperator,
     KreinForm,
     _block_svd,
+    _operator,
     antilinear_adjoint,
     as_matrix,
     realspan,
@@ -157,12 +157,18 @@ def _product(sig1: Signature, data1, sig2: Signature, data2):
     q1, p1, q2 = sig1.q, sig1.p, sig2.q
     g1, chi1, gram1, j1 = data1
     g2, chi2, gram2, j2 = data2
-    first = np.kron(np.stack(g1), np.eye(len(chi2)))
-    second = np.kron(chi1, np.stack(g2))
+    first = _kron(np.stack(g1), np.eye(len(chi2)))
+    second = _kron(chi1, np.stack(g2))
     gammas = [*first[:q1], *second[:q2], *first[q1:], *second[q2:]]
     j2_plus = chi2 @ j2 if ((p1 - q1) // 2) % 2 else j2
     h2 = gram2 if q1 % 2 == 0 else (1j ** q2) * gram2 @ chi2
-    return gammas, np.kron(chi1, chi2), np.kron(gram1, h2), np.kron(j1, j2_plus)
+    return gammas, _kron(chi1, chi2), _kron(gram1, h2), _kron(j1, j2_plus)
+
+
+def _kron(a, b) -> np.ndarray:
+    """np.kron on the last two axes, broadcast over the others: the same one product per entry."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def _data(q: int, p: int):
@@ -183,15 +189,12 @@ def build(sig: Signature) -> CliffordModule:
 
 
 def verify_relations(module: CliffordModule) -> float:
-    """Largest violation of {gamma^a, gamma^b} = 2 g^ab over all pairs."""
-    g = module.sig.metric()
-    n = module.dim
-    worst = 0.0
+    """Largest violation of {gamma^a, gamma^b} = 2 g^ab over all pairs, read off the composed
+    generator operators: O(n) a pair for monomials, with the dense products' float sums."""
+    g, G = module.sig.metric(), _operator(np.stack(module.gammas))
     # {gamma^b, gamma^a} is the same floating-point sum, so each unordered pair once
-    for (a, ga), (b, gb) in itertools.combinations_with_replacement(enumerate(module.gammas), 2):
-        acom = ga @ gb + gb @ ga - 2.0 * g[a, b] * np.eye(n)
-        worst = max(worst, float(np.abs(acom).max()))
-    return worst
+    a, b = np.triu_indices(len(g))
+    return (G[a] @ G[b]).sum_defect(G[b] @ G[a], 2.0 * g[a, b])
 
 
 _CONVENTION_DATA = {
@@ -232,7 +235,11 @@ def _intertwiners(A, B) -> np.ndarray:
 
     A nonzero A[a, i, k] puts X[k, j] into equation (a, i, j) for every j, and a
     nonzero B[a, l, j] puts -X[i, l] into it for every i.  ``_block_svd`` takes that
-    coordinate list transposed and conjugated, so its left null vectors solve the system.
+    coordinate list transposed and conjugated, and its left null vectors, from the R-SVD and
+    never from M M^H, solve the system.  When every A_a is monomial and each column of every
+    B_a holds one nonzero, an equation of generator a is dropped if, scaled by its first
+    coefficient, it equals an earlier one of a exactly.  For monomials squaring to +-1 they
+    pair up, so every block halves and keeps one shape, which cross-generator dropping breaks.
     """
     n, t = A.shape[1], np.arange(A.shape[1])
     a, i, k = np.nonzero(A)
@@ -241,7 +248,19 @@ def _intertwiners(A, B) -> np.ndarray:
     cols = np.concatenate([(((a * n + i) * n)[:, None] + t).ravel(),
                            ((b[:, None] * n + t) * n + j[:, None]).ravel()])
     vals = np.repeat(np.concatenate([A[a, i, k], -B[b, l, j]]).conj(), n)
-    return _block_svd(rows, cols, vals, (n * n, len(A) * n * n))[5].T.reshape(-1, n, n)
+    m, rows_a = len(A) * n * n, len(A) * n
+    slots = np.concatenate([a * n + i, rows_a + a * n + k, 2 * rows_a + b * n + j])
+    if (np.bincount(slots, minlength=3 * rows_a) == 1).all():  # A_a monomial, B_a columns too
+        e, s = np.arange(m), np.empty(m, np.intp)
+        s[cols[m:]] = np.arange(m, 2 * m)  # equation e holds entries e and s[e]
+        g, at = e // (n * n) * (n * n), np.empty(m, np.intp)
+        at[g + rows[:m]] = e  # the equation of generator g with its A entry at that unknown
+        twin = at[g + rows[s]]  # the only other one of g that can link the same two unknowns
+        ratio = np.where(rows[:m] < rows[s], vals[s] / vals[:m], vals[:m] / vals[s])
+        keep = (twin >= e) | (rows[s[twin]] != rows[:m]) | (ratio[twin] != ratio)
+        on = np.concatenate([keep, keep[cols[m:]]])
+        rows, cols, vals = rows[on], cols[on], vals[on]
+    return _block_svd(rows, cols, vals, (n * n, m), kernel_only=True)[5].T.reshape(-1, n, n)
 
 
 def robinson_solution_space(module: CliffordModule) -> list:

@@ -87,13 +87,16 @@ def _complexify(V, support) -> np.ndarray:
     return np.take(np.column_stack([V, np.zeros(len(V))]), source, axis=1).view(np.complex128)
 
 
-def _block_svd(rows, cols, vals, shape) -> tuple:
+def _block_svd(rows, cols, vals, shape, kernel_only=False) -> tuple:
     """The SVD of the ``shape`` matrix with vals at (rows, cols), duplicates summed, as one
     batched SVD per block shape.  A listed (i, j) joins row i and column j; up to a
     permutation the matrix is block-diagonal with a block per connected component, split
     on unlisted entries only.  One component is one SVD of the matrix.  The rank rule is global:
     s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank, gap, span, kernel):
     span() builds kept right-singular vectors as rows; kernel has discarded left ones as columns.
+    A caller that reads no span sets ``kernel_only`` (span None) and gets U and s by the R-SVD
+    (Chan, ACM TOMS 8, 1982): the SVD of R^T, R from the QR of M^T, as M = R^T Q^T with Q^T of
+    orthonormal rows; never from M M^H, whose squared values put the cutoff below roundoff.
     """
     (m, k), r, c = shape, rows, cols
     # label = least row index of the component: relax along the edges, then jump
@@ -122,8 +125,10 @@ def _block_svd(rows, cols, vals, shape) -> tuple:
         at_r[R], at_c[C] = nk * np.arange(R.size).reshape(R.shape), np.arange(nk)
         block, on = np.zeros(R.size * nk, vals.dtype), shape[row[r]] == size
         np.add.at(block, at_r[r[on]] + at_c[c[on]], vals[on])
-        # all nr left-singular vectors are needed for the kernel
-        svd = np.linalg.svd(block.reshape(len(R), nr, nk), full_matrices=nr > nk)
+        block = block.reshape(len(R), nr, nk)
+        if kernel_only:  # M^T is a view, so the QR takes the only copy of the block
+            block = np.linalg.qr(block.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+        svd = np.linalg.svd(block, full_matrices=nr > nk)  # the kernel needs all nr left vectors
         blocks.append((R, C, *svd))
 
     s = np.concatenate([b[3].ravel() for b in blocks] + [np.zeros(0)])
@@ -146,7 +151,7 @@ def _block_svd(rows, cols, vals, shape) -> tuple:
             kept.append(sv[g, i])
         return rows[np.argsort(-np.concatenate(kept), kind="stable")]
 
-    return s, cutoff, rank, gap, span, kernel
+    return s, cutoff, rank, gap, None if kernel_only else span, kernel
 
 
 @dataclass
@@ -283,6 +288,25 @@ class _Monomial:
     def singular_values(self) -> np.ndarray:
         return np.abs(self.phase)
 
+    def __getitem__(self, k) -> "_Monomial":
+        return _Monomial(self.perm[k], self.inv[k], self.phase[k])
+
+    def __matmul__(self, other):
+        """self @ other, matrix by matrix over equal stacks; two monomials compose in O(n)."""
+        if not isinstance(other, _Monomial):
+            return _Dense(other.rmul(self.lmul(np.eye(len(self.phase)))))
+        at = np.arange(0, self.perm.size, self.perm.shape[-1]).reshape(*self.perm.shape[:-1], 1)
+        return _Monomial(other.perm.ravel()[self.perm + at], self.inv.ravel()[other.inv + at],
+                         self.phase * other.phase.ravel()[self.perm + at])
+
+    def sum_defect(self, other, c) -> float:
+        """max |self + other - c 1| over equal monomial stacks, one c per matrix: row i is read
+        in columns perm[i], other.perm[i] and i only, as the dense matrices' float sums."""
+        i = np.broadcast_to(np.arange(self.perm.shape[-1]), self.perm.shape)
+        j = np.stack([self.perm, other.perm, i])
+        S = np.where(self.perm == j, self.phase, 0) + np.where(other.perm == j, other.phase, 0)
+        return float(np.abs(S - np.where(i == j, np.asarray(c)[..., None], 0)).max(initial=0.0))
+
     def lmul(self, A) -> np.ndarray:
         """M @ A on the last two axes of A."""
         return self.phase[:, None] * A[..., self.perm, :]
@@ -320,6 +344,17 @@ class _Dense:
         sv = np.linalg.svd(self.mat, compute_uv=False)
         return 1.0 / sv[::-1] if self.inverted else sv
 
+    def __getitem__(self, k) -> "_Dense":
+        return _Dense(self.mat[k], self.inverted)
+
+    def __matmul__(self, other):
+        return _Dense(other.rmul(self.lmul(np.eye(self.mat.shape[-1]))))
+
+    def sum_defect(self, other, c) -> float:
+        eye = np.eye(self.mat.shape[-1])
+        S = self.lmul(eye) + other.lmul(eye) - np.multiply.outer(c, eye)
+        return float(np.abs(S).max(initial=0.0))
+
     def lmul(self, A) -> np.ndarray:
         return np.linalg.solve(self.mat, A) if self.inverted else self.mat @ A
 
@@ -331,15 +366,16 @@ class _Dense:
 
 
 def _operator(A):
-    """A ``_Monomial`` if A is a square phased partial permutation, else a ``_Dense``."""
-    n, nonzero = len(A), A != 0
-    perm = nonzero.argmax(axis=1)
-    phase = A[np.arange(n), perm]
-    rows, cols = phase != 0, nonzero.any(axis=0)
+    """A ``_Monomial`` if A, or each matrix of a stack A, is a square phased partial
+    permutation, else a ``_Dense``."""
+    nonzero = A != 0
+    perm = nonzero.argmax(axis=-1)
+    phase = A.reshape(-1, A.shape[-1])[np.arange(perm.size), perm.ravel()].reshape(perm.shape)
+    rows, cols = phase != 0, nonzero.any(axis=-2)
     # exact: square, with as many nonzeros as nonzero rows and as nonzero columns
-    if A.shape != (n, n) or not nonzero.sum() == rows.sum() == cols.sum():
+    if A.shape[-2] != A.shape[-1] or not nonzero.sum() == rows.sum() == cols.sum():
         return _Dense(A)
-    perm[~rows] = np.flatnonzero(~cols)
+    perm[~rows] = np.nonzero(~cols)[-1]  # each matrix's zero rows go to its zero columns, in order
     return _Monomial(perm, np.argsort(perm), phase)
 
 

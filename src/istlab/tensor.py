@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature, _assemble, _product
+from .clifford import CliffordModule, Signature, _assemble, _kron, _product
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
 from .kspace import (
     RTOL,
@@ -56,7 +56,7 @@ def _product_form(t1: IndefiniteTriple, t2: IndefiniteTriple) -> KreinForm:
     require_axioms(t1, "first factor")
     require_axioms(t2, "second factor")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
-    return KreinForm(np.kron(t1.form.gram, t2.form.gram @ beta))
+    return KreinForm(_kron(t1.form.gram, t2.form.gram @ beta))
 
 
 def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
@@ -68,20 +68,20 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
     mod 8.
     """
     form = _product_form(t1, t2)
-    n2 = t2.dim
-    chi = np.kron(t1.chi, t2.chi)
-    dirac = np.kron(t1.dirac, np.eye(n2)) + np.kron(t1.chi, t2.dirac)
+    n1, n2 = t1.dim, t2.dim
+    chi = _kron(t1.chi, t2.chi)
+    dirac = _kron(t1.dirac, np.eye(n2)) + _kron(t1.chi, t2.dirac)
 
     j1_parity = 0 if t1.cc.parity_sign(t1.chi) == 1 else 1
     m2 = t2.cc.mat @ t2.chi if j1_parity else t2.cc.mat
-    cc = np.kron(t1.cc.mat, m2)
+    cc = _kron(t1.cc.mat, m2)
 
-    basis = [
-        np.kron(a, b) for a in t1.algebra.basis for b in t2.algebra.basis
-    ]
-    involution = [
-        np.kron(a, b) for a in t1.algebra.involution for b in t2.algebra.involution
-    ]
+    def every(x, y):  # x_i (x) y_j over all pairs, i-major, as one broadcast product
+        x, y = np.reshape(x, (-1, 1, n1, n1)), np.reshape(y, (-1, n2, n2))
+        return list(_kron(x, y).reshape(-1, n1 * n2, n1 * n2))
+
+    basis = every(t1.algebra.basis, t2.algebra.basis)
+    involution = every(t1.algebra.involution, t2.algebra.involution)
     labels = [
         f"{la}*{lb}" for la in t1.algebra.labels for lb in t2.algebra.labels
     ]
@@ -111,7 +111,7 @@ def tensor_eta(eta1, eta2, t1: IndefiniteTriple, t2: IndefiniteTriple) -> np.nda
     _privileged_check(eta1, t1, "eta1")
     _privileged_check(eta2, t2, "eta2")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
-    eta = np.kron(eta1, np.linalg.solve(beta, eta2))
+    eta = _kron(eta1, np.linalg.solve(beta, eta2))
     rep = is_fundamental_symmetry(eta, _product_form(t1, t2))
     if not rep.ok:
         raise ValueError(f"tensored symmetry fails: {rep.reason}")

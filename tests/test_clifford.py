@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import supported_signatures
 from test_kspace import _hermitian_basis
+from istlab import clifford
 from istlab.clifford import (
     Signature,
     _normalized_symmetry,
@@ -21,7 +22,8 @@ from istlab.clifford import (
     verify_relations,
 )
 from istlab.dims import dims_from_signs, mod8, sign_a
-from istlab.kspace import RANK_RTOL, is_fundamental_symmetry, scalar_coefficient, snap_sign
+from istlab.kspace import (RANK_RTOL, _Monomial, is_fundamental_symmetry, scalar_coefficient,
+                           snap_sign)
 
 
 def test_signature_validation():
@@ -293,8 +295,31 @@ def test_cc_solution_space_matches_dense_svd(module_of):
             assert np.abs(_projector(got, real) - _projector(want, real)).max() <= 1e-12
 
 
+def test_intertwiners_drop_exact_multiples_only(module_of, monkeypatch):
+    # a generator's equations pair up as exact multiples and one of each pair drops; one ulp
+    # off in one coefficient keeps both equations of the n pairs that coefficient is in, and a
+    # singular A_a, whose equations the pairing does not describe, keeps every equation
+    g = np.stack(module_of(1, 3).gammas)
+    A, (d, n) = g.conj().transpose(0, 2, 1), g.shape[:2]
+    kept, block_svd = [], clifford._block_svd
+
+    def spy(rows, cols, *args, **kwargs):
+        kept.append(len(set(cols.tolist())))
+        return block_svd(rows, cols, *args, **kwargs)
+
+    monkeypatch.setattr(clifford, "_block_svd", spy)
+    clifford._intertwiners(A, g)
+    k = np.flatnonzero(A[0, 0])[0]
+    A[0, 0, k] = np.nextafter(A[0, 0, k].real, np.inf) + 1j * A[0, 0, k].imag
+    clifford._intertwiners(A, g)
+    A[0, 1] = 2 * A[0, 0]  # two rows of A_0 now share a column: nothing is dropped
+    clifford._intertwiners(A, g)
+    assert kept == [d * n * n // 2, d * n * n // 2 + n, d * n * n]
+
+
 def test_solution_spaces_at_the_cap():
-    # d = 12, odd-odd: both spaces are lines, in bounded memory (a dense system takes 3 GiB)
+    # d = 12, odd-odd: both spaces are lines, in bounded memory (a dense system takes 3 GiB);
+    # the kernel-only blocks and the QR's copy of them peak at 59 MiB, bounded with a margin
     module = build(Signature(5, 7))
     tracemalloc.start()
     try:
@@ -302,7 +327,7 @@ def test_solution_spaces_at_the_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rob) == len(cc) == 1 and peak < 200 * 2**20
+    assert len(rob) == len(cc) == 1 and peak < 80 * 2**20
     scalar_coefficient(rob[0], module.gram_robinson.gram, tol=1e-8)
     sq = scalar_coefficient(cc[0] @ np.conj(cc[0]), np.eye(module.dim), tol=1e-8)
     assert snap_sign(sq) == sign_a(5 - 7)
@@ -353,14 +378,57 @@ def _relations_over_ordered_pairs(module):
     return worst
 
 
+def _broken(m, rng):
+    """The module with one generator's phase flipped in one row, its columns permuted, or
+    replaced by a dense conjugate U gamma U^-1, which takes the dense operator route."""
+    g, n = m.gammas[1], m.dim
+    flipped = g.copy()
+    flipped[0] *= -1
+    U = np.eye(n) + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for other in (flipped, g[:, rng.permutation(n)], U @ g @ np.linalg.inv(U)):
+        yield dataclasses.replace(m, gammas=[m.gammas[0], other, *m.gammas[2:]])
+
+
 def test_relations_over_unordered_pairs_match_all_ordered_pairs(module_of, rng):
-    # each anticommutator is checked once; the (b, a) sum is the same floating-point value
-    sigs = supported_signatures(8)
-    assert len(sigs) == 24
+    # each anticommutator is checked once, from monomial compositions where it can be, and
+    # is the same floating-point value as the dense (a, b) and (b, a) sums
+    sigs = supported_signatures(12)
+    assert len(sigs) == 48
     for q, p in sigs:
         m = module_of(q, p)
         assert verify_relations(m) == _relations_over_ordered_pairs(m)
+    for d in range(2, 13, 2):
+        for broken in _broken(module_of(d // 2, d - d // 2), rng):
+            assert verify_relations(broken) == _relations_over_ordered_pairs(broken) > 1e-4
     m = module_of(2, 2)
     noise = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
     broken = dataclasses.replace(m, gammas=[m.gammas[0], m.gammas[1] + 1e-3 * noise, *m.gammas[2:]])
     assert verify_relations(broken) == _relations_over_ordered_pairs(broken) > 1e-4
+
+
+def test_relations_see_a_wrong_composition_rule(module_of, monkeypatch):
+    # a composition that multiplies the phases row by row, not along self.perm, must show
+    compose = _Monomial.__matmul__
+
+    def wrong(self, other):
+        right = compose(self, other)
+        return _Monomial(right.perm, right.inv, self.phase * other.phase)
+
+    sigs = supported_signatures(6)
+    exact = [verify_relations(module_of(q, p)) for q, p in sigs]
+    monkeypatch.setattr(_Monomial, "__matmul__", wrong)
+    assert max(verify_relations(module_of(q, p)) for q, p in sigs) > 1.0 > max(exact)
+
+
+def test_build_matches_the_np_kron_route(monkeypatch):
+    # the broadcast product is np.kron's single product per entry, so every matrix is equal
+    def fields(m):
+        return [*m.gammas, m.chi, m.eta_plus, m.eta_minus, m.gram_robinson.gram,
+                m.gram_antirobinson.gram, m.jplus.mat, m.jminus.mat]
+
+    sigs = supported_signatures(12)
+    got = [fields(build(Signature(q, p))) for q, p in sigs]
+    monkeypatch.setattr(clifford, "_kron", np.kron)
+    for (q, p), mats in zip(sigs, got):
+        kron = fields(build(Signature(q, p)))
+        assert all(np.array_equal(a, b) for a, b in zip(mats, kron)), (q, p)

@@ -320,9 +320,11 @@ def test_connected_realspan_is_one_svd_bit_for_bit(m, rng):
     assert np.array_equal(span.kernel, u[:, rank:])
 
 
-def test_block_svd_matches_one_svd(rng):
-    # complex blocks of several shapes, tall and wide, scattered by a permutation,
-    # with all-zero rows and columns, against one SVD of the whole matrix
+def _scattered_blocks(rng):
+    """Complex blocks of several shapes, tall, wide and rank 1, scattered by a permutation,
+    with all-zero rows and columns; every entry is listed as two halves, plus a pair at a
+    zero entry that cancels exactly and joins two components.  Returns the matrix and the
+    (rows, cols, vals) coordinate list."""
     shapes = [(3, 2), (3, 2), (2, 5), (1, 1), (4, 4)]
     m, k = sum(r for r, _ in shapes) + 2, sum(c for _, c in shapes) + 3
     A = np.zeros((m, k), dtype=complex)
@@ -333,10 +335,6 @@ def test_block_svd_matches_one_svd(rng):
     A[3:6, 2:4] = np.outer(rng.normal(size=3), rng.normal(size=2))  # a rank-1 block
     A = A[rng.permutation(m)][:, rng.permutation(k)]
     assert _component_count(A) == len(shapes) + 2  # the zero rows are components too
-    u, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > s[0] * RANK_RTOL))
-    # every entry listed as two halves, which sum to it, plus a pair at a zero entry that
-    # cancels exactly and joins two components
     r, c = np.nonzero(A)
     i, j = r[0], c[np.flatnonzero(A[r[0], c] == 0)[0]]
     pattern = A != 0
@@ -345,7 +343,14 @@ def test_block_svd_matches_one_svd(rng):
     order = rng.permutation(2 * r.size + 2)
     rows, cols = np.concatenate([r, r, [i, i]])[order], np.concatenate([c, c, [j, j]])[order]
     vals = np.concatenate([A[r, c] / 2, A[r, c] / 2, [1.5 - 2j, -1.5 + 2j]])[order]
+    return A, rows, cols, vals
 
+
+def test_block_svd_matches_one_svd(rng):
+    # against one SVD of the whole matrix
+    A, rows, cols, vals = _scattered_blocks(rng)
+    u, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > s[0] * RANK_RTOL))
     got_s, cutoff, got_rank, gap, span, kernel = _block_svd(rows, cols, vals, A.shape)
     span = span()
     assert got_rank == rank and abs(cutoff - s[0] * RANK_RTOL) <= 1e-12 * cutoff
@@ -353,6 +358,19 @@ def test_block_svd_matches_one_svd(rng):
     assert np.abs(span @ span.conj().T - np.eye(rank)).max() <= 1e-12
     assert np.abs(span.conj().T @ span - vt[:rank].conj().T @ vt[:rank]).max() <= 1e-12
     assert np.abs(kernel @ kernel.conj().T - u[:, rank:] @ u[:, rank:].conj().T).max() <= 1e-12
+
+
+def test_kernel_only_route_matches_the_full_svd(rng):
+    # the R-SVD decides the rank as the full SVD does and spans the same kernel, on tall,
+    # wide and rank-deficient blocks alike; it builds no span
+    A, rows, cols, vals = _scattered_blocks(rng)
+    s, cutoff, rank, gap, _, kernel = _block_svd(rows, cols, vals, A.shape)
+    got_s, got_cutoff, got_rank, got_gap, span, got = _block_svd(rows, cols, vals, A.shape,
+                                                                 kernel_only=True)
+    assert span is None and got_rank == rank < len(s) and got.shape == kernel.shape
+    assert np.abs(got_s - s).max() <= 1e-12 * s[0] and abs(got_cutoff - cutoff) <= 1e-12 * cutoff
+    assert abs(got_gap - gap) <= 1e-12
+    assert np.abs(got @ got.conj().T - kernel @ kernel.conj().T).max() <= 1e-12
 
 
 def test_realspan_rejects_non_finite_entries():
@@ -538,6 +556,9 @@ def test_monomial_and_dense_operators_agree(rng):
             assert np.array_equal(mono.rmul(Y), dense.rmul(Y)), label
             assert np.array_equal(mono.conj().rmul(Y), dense.conj().rmul(Y)), label
             assert mono.commutator_norm(Y) == dense.commutator_norm(Y), label
+        product = mono @ _operator(M.T)  # two monomials compose into one, a dense operand densely
+        assert isinstance(product, _Monomial) and np.array_equal(_dense(product), M @ M.T), label
+        assert np.array_equal((mono @ _Dense(X)).mat, M @ X), label
         sv = np.sort(mono.singular_values()), np.sort(dense.singular_values())
         assert np.abs(sv[0] - sv[1]).max() <= 1e-15, label
         if mono.phase.all():
@@ -553,6 +574,21 @@ def test_monomial_and_dense_operators_agree(rng):
                     op.inverse().lmul(X)
         seen += 1
     assert seen == 2 * 3 + (24 + 24) + 15 * (2 + 4 * 2) + 1
+
+
+def test_monomial_sum_defect_reads_every_entry(rng):
+    # max |P + Q - c 1| over stacks of monomials, read from at most three entries a row, is
+    # bit for bit the dense value; random phases put the largest entry in any of the columns
+    for n in (1, 3, 8):
+        for _ in range(10):
+            mats = np.zeros((4, n, n), complex)
+            for M in mats:
+                M[np.arange(n), rng.permutation(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
+            mats[:, 0, :] *= rng.integers(0, 2)  # a zero row, now and then
+            c = rng.normal(size=2)
+            P, Q = _operator(mats[:2]), _operator(mats[2:])
+            want = max(_Dense(mats[i]).sum_defect(_Dense(mats[i + 2]), c[i]) for i in (0, 1))
+            assert P.sum_defect(Q, c) == want
 
 
 def test_realspan_assembles_its_basis_on_first_read(rng):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import supported_signatures
+from conftest import random_yukawas, supported_signatures
+from istlab import tensor
 from istlab.clifford import Signature, build, extract_signs, measure_signs, verify_relations
 from istlab.dims import mod8, sign_a
 from istlab.ist import check_axioms, from_clifford_module, triple_dims
 from istlab.kspace import is_fundamental_symmetry
+from istlab.sm import build_sm
 from istlab.tensor import beta_twist, operator_parity, tensor_eta, tensor_ist, tensor_modules
 
 
@@ -205,3 +207,19 @@ def test_tensor_eta_rejects_non_privileged(module_of):
     t2 = from_clifford_module(module_of(0, 2), "south")
     with pytest.raises(ValueError, match="fundamental symmetry"):
         tensor_eta(np.eye(2) * 2, module_of(0, 2).eta_plus, t1, t2)
+
+
+def test_tensor_ist_matches_the_np_kron_route(module_of, monkeypatch):
+    # every Kronecker product, the algebra's pairwise ones included, is np.kron's bit for bit
+    def fields(t):
+        return [t.form.gram, t.chi, t.cc.mat, t.dirac, *t.algebra.basis, *t.algebra.involution]
+
+    sm_triple = build_sm(random_yukawas(np.random.default_rng(5), 1)).triple
+    pairs = [(from_clifford_module(module_of(1, 3), "west"), sm_triple),
+             (from_clifford_module(module_of(2, 2), "east"),
+              from_clifford_module(module_of(0, 2), "north"))]
+    got = [fields(tensor_ist(t1, t2)) for t1, t2 in pairs]
+    monkeypatch.setattr(tensor, "_kron", np.kron)
+    for mats, (t1, t2) in zip(got, pairs):
+        want = fields(tensor_ist(t1, t2))
+        assert len(mats) == len(want) and all(np.array_equal(a, b) for a, b in zip(mats, want))
