@@ -5,10 +5,11 @@ conjugation, a Dirac operator and a represented real *-algebra.  All
 checks are numerical: each axiom reports its worst violation and the
 triple passes when every one is below tolerance.
 
-Each algebra element and each opposite becomes one operator, which ``kspace._operator``
-picks per matrix.  The library's elements are phased partial permutations with phases 1,
--1, i or -i, so their products gather rows or columns, bit for bit equal to the dense
-products that any other matrix, such as a loaded dense element, takes.
+The algebra basis becomes one operator over its stack, and each opposite one operator,
+which ``kspace._operator`` picks.  The library's elements are phased partial permutations
+with phases 1, -1, i or -i, so their products gather rows or columns, bit for bit equal to
+the dense products that a stack holding any other matrix, such as a loaded dense element,
+takes.  Products by the algebra keep to the coordinates they can reach (``kspace._Sparse``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .kspace import (
     AntilinearOperator,
     KreinForm,
     _operator,
+    _Sparse,
     _read_only,
     antilinear_adjoint,
     as_matrix,
@@ -75,18 +77,21 @@ class FiniteAlgebra:
     def _closure(self) -> float:
         if not self.basis:
             return 0.0
-        B = np.stack(self.basis)
-        span = realspan(B)
-        worst = 0.0
-        for a in self._operators:  # one row of products at a time bounds the memory
-            norms, dists = span.residuals(a.lmul(B))
-            worst = max(worst, float((dists / np.maximum(1.0, norms)).max()))
-        return worst
+        span, m = realspan(self._sparse), len(self.basis)
+        ab = self._stacks[0].mul_on(self._sparse)  # every product a b, on its support
+        rows = (span.residuals(_Sparse(ab.vals[a * m:a * m + m], ab.at, ab.shape)) for a in range(m))
+        return max(float((d / np.maximum(1.0, nrm)).max()) for nrm, d in rows)  # a row per call
 
     @cached_property
-    def _operators(self) -> list:
-        """The basis as ``kspace`` operators, for products by gathers where they are monomial."""
-        return [_operator(b) for b in self.basis]
+    def _stacks(self) -> tuple:
+        """The basis and the involution images, each one ``kspace`` operator over its stack."""
+        return _operator(np.stack(self.basis)), _operator(np.stack(self.involution))
+
+    @cached_property
+    def _sparse(self) -> _Sparse:
+        """The basis on its support: the basis operator times the identity."""
+        n = len(self.basis[0])
+        return self._stacks[0].mul_on(_Sparse(np.ones((1, n)), np.arange(n) * (n + 1), (n, n)))
 
 
 _SCALARS = {}  # n -> the shared, read-only scalar algebra
@@ -188,14 +193,11 @@ def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
     v["cc_homogeneous"] = _sign_defect(M @ np.conj(chi), chi @ M)
     v["cc_dirac_commute"] = _maxabs(M @ np.conj(D) - D @ M)
 
-    v["rep_even"] = _worst_commutator(chi, triple.algebra._operators)
-    v["rep_involutive"] = max(
-        (
-            _maxabs(form.adjoint(b) - binv)
-            for b, binv in zip(triple.algebra.basis, triple.algebra.involution)
-        ),
-        default=0.0,
-    )
+    v["rep_even"] = v["rep_involutive"] = 0.0
+    if triple.algebra.basis:  # [chi, b] and b^x - b^* by composed operators, one per stack
+        (B, Binv), X, H = triple.algebra._stacks, _operator(chi), form._op
+        v["rep_even"] = (X @ B).sum_defect(-(B @ X), 0.0)
+        v["rep_involutive"] = (H.inverse() @ (B.dagger() @ H)).sum_defect(-Binv, 0.0)
     v["algebra_closed"] = triple.algebra.closure_violation()
     return v
 
@@ -223,46 +225,53 @@ def _opposites(triple: IndefiniteTriple) -> list:
     return [_operator(opposite(triple, b)) for b in triple.algebra.basis]
 
 
-def _worst_commutator(X, ops) -> float:
-    """max |[X, b]| over the operators b for a matrix or stack X."""
-    return max((b.commutator_norm(X) for b in ops), default=0.0)
+def _commutators(S: _Sparse, ops) -> _Sparse:
+    """X b - b X for each b of the operator stack ops and each X of S, b-major, on the
+    coordinates the operators move the nonzeros of S to."""
+    both = _Sparse.join([ops.mul_on(S, left=False), ops.mul_on(S)])
+    half = len(both.vals) // 2
+    return _Sparse(both.vals[:half] - both.vals[half:], both.at, S.shape)
 
 
-def _dirac_commutators(triple: IndefiniteTriple) -> np.ndarray:
-    """The (m, n, n) stack of [D, pi(b)] over the algebra basis."""
-    D, n = triple.dirac, triple.dim
-    return np.array([b.rmul(D) - b.lmul(D) for b in triple.algebra._operators]).reshape(-1, n, n)
+def _dirac_commutators(triple: IndefiniteTriple) -> _Sparse:
+    """[D, pi(b)] over the algebra basis."""
+    return _commutators(_Sparse.of([triple.dirac]), triple.algebra._stacks[0])
+
+
+def _worst_commutator(S: _Sparse, ops) -> float:
+    """max |[X, b]| over the matrices X of S and the operators b, one b at a time, so that each
+    product stack keeps to the support that b moves S to."""
+    return max((_maxabs(_commutators(S, b).vals) for b in ops), default=0.0)
 
 
 def order_zero(triple: IndefiniteTriple) -> float:
     """max ||[pi(a), pi(b)^o]|| over algebra basis pairs."""
-    basis, n = triple.algebra.basis, triple.dim
-    return _worst_commutator(np.array(basis).reshape(-1, n, n), _opposites(triple))
+    ops = _opposites(triple)
+    return _worst_commutator(triple.algebra._sparse, ops) if ops else 0.0
 
 
 def first_order(triple: IndefiniteTriple) -> float:
     """max ||[[D, pi(a)], pi(b)^o]|| over algebra basis pairs."""
-    return _worst_commutator(_dirac_commutators(triple), _opposites(triple))
+    ops = _opposites(triple)
+    return _worst_commutator(_dirac_commutators(triple), ops) if ops else 0.0
 
 
 def one_form_generators(triple: IndefiniteTriple) -> tuple:
-    """The nonvanishing [D, pi(b_j)] and the one-forms they generate.
+    """The nonvanishing [D, pi(b_j)] and the one-forms they generate, on their supports.
 
-    Returns (commutators, pairs): the commutators as (j, [D, pi(b_j)])
-    and the (m, n, n) stack of pi(a_i) [D, pi(b_j)] over every basis a_i
-    and every such commutator, i-major.  Pairs whose commutator vanishes
-    are dropped; the real span is unchanged.
+    Returns (kept, comms, pairs): the indices j of the kept commutators, those as a
+    ``_Sparse``, and the ``_Sparse`` of pi(a_i) [D, pi(b_j)] over every basis a_i and kept j,
+    i-major.  Dropping a vanishing commutator leaves the real span unchanged.
     """
-    n, ops = triple.dim, triple.algebra._operators
-    scale = max(1.0, _maxabs(triple.dirac))
+    if not triple.algebra.basis:
+        empty = _Sparse(np.zeros((0, 0)), np.zeros(0, np.intp), triple.dirac.shape)
+        return [], empty, empty
     every = _dirac_commutators(triple)
-    kept = [j for j, c in enumerate(every) if _maxabs(c) > COMM_VANISH * scale]
-    C = every[kept]
-    comms = list(zip(kept, C))
-    pairs = np.empty((len(ops), *C.shape), complex)
-    for a, out in zip(ops, pairs):
-        out[...] = a.lmul(C)
-    return comms, pairs.reshape(-1, n, n)
+    big = np.abs(every.vals).max(axis=1, initial=0.0) > COMM_VANISH * max(1.0, _maxabs(triple.dirac))
+    kept = np.flatnonzero(big).tolist()
+    on = (every.vals[kept] != 0).any(axis=0)  # the kept commutators' support
+    comms = _Sparse(every.vals[kept][:, on], every.at[on], every.shape)
+    return kept, comms, triple.algebra._stacks[0].mul_on(comms)
 
 
 def gauge_unitary(triple: IndefiniteTriple, coeffs) -> np.ndarray:
@@ -279,8 +288,7 @@ def fluctuate(triple: IndefiniteTriple, omega) -> np.ndarray:
     omega = as_matrix(omega)
     if _maxabs(triple.form.adjoint(omega) - omega) > MEMBER_TOL:
         raise ValueError("one-form is not self-adjoint")
-    _, pairs = one_form_generators(triple)
-    if not in_span(realspan(pairs), omega):
+    if not in_span(realspan(one_form_generators(triple)[2]), omega):
         raise ValueError("operator is outside the one-form span")
     return triple.dirac + omega + triple.cc.conjugate(omega)
 

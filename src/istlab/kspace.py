@@ -50,50 +50,79 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def _as_stack(mats) -> np.ndarray:
-    """Coerce a list or (m, n1, n2) stack of equal-shape matrices to a C-ordered array.
+@dataclass(frozen=True)
+class _Sparse:
+    """A stack of matrices of one shape, zero off the ascending flat coordinates ``at``:
+    vals[k, u] is entry at[u] of matrix k.  An operator's ``mul_on`` keeps a product on the
+    coordinates it can reach: a monomial moves them, a dense matrix fills them."""
 
-    Only a stack can be empty, because an empty list carries no shape.
-    """
-    M = np.ascontiguousarray(mats, dtype=np.complex128)
-    if M.ndim != 3:
-        raise ValueError("expected a list or stack of equal-shape matrices")
-    return M
+    vals: np.ndarray  # (m, len(at)) complex
+    at: np.ndarray
+    shape: tuple  # of one matrix
+
+    @classmethod
+    def of(cls, mats) -> "_Sparse":
+        """mats if a ``_Sparse``, else a list or (m, n1, n2) stack of matrices on the coordinates
+        nonzero in some matrix.  Only a stack can be empty: an empty list carries no shape."""
+        if isinstance(mats, cls):
+            return mats
+        M = np.asarray(mats, dtype=np.complex128)
+        if M.ndim != 3:
+            raise ValueError("expected a list or stack of equal-shape matrices")
+        flat = M.reshape(len(M), M.shape[1] * M.shape[2])
+        at = np.flatnonzero((flat != 0).any(axis=0))
+        return cls(flat[:, at], at, M.shape[1:])
+
+    @classmethod
+    def join(cls, stacks) -> "_Sparse":
+        """The stacks as one, on the union of their coordinates."""
+        at = _distinct(np.concatenate([s.at for s in stacks]))
+        return cls(np.concatenate([s.take(at) for s in stacks]), at, stacks[0].shape)
+
+    def take(self, at) -> np.ndarray:
+        """The values on the ascending flat coordinates ``at``, zero off ``self.at``, by a gather."""
+        pos = np.searchsorted(self.at, at)
+        pos[np.append(self.at, -1)[pos] != at] = self.at.size
+        return np.column_stack([self.vals, np.zeros(len(self.vals))]).take(pos, axis=1)
+
+    def dense(self) -> np.ndarray:
+        return self.take(np.arange(self.shape[0] * self.shape[1])).reshape(len(self.vals), *self.shape)
+
+
+def _distinct(at) -> np.ndarray:
+    """The distinct entries of an integer array, ascending; np.unique would import numpy.ma."""
+    at = np.sort(at, axis=None)
+    return at[np.append(True, at[1:] != at[:-1])[:at.size]]
 
 
 def _support(flat) -> tuple:
     """Masks of the real and imaginary coordinates nonzero in some row of flat."""
-    nonzero = (flat.view(np.float64) != 0).any(axis=0)
-    return nonzero[0::2], nonzero[1::2]
-
-
-def _coords(support) -> np.ndarray:
-    """Positions of the supported coordinates in the (re, im) float view, real parts first."""
-    return np.concatenate([2 * np.flatnonzero(support[0]), 2 * np.flatnonzero(support[1]) + 1])
+    return (flat.real != 0).any(axis=0), (flat.imag != 0).any(axis=0)
 
 
 def _realify(flat, support) -> np.ndarray:
     """Rows of flat as real vectors over the supported coordinates, which hold any inf or nan."""
-    A = np.take(flat.view(np.float64), _coords(support), axis=1)
+    A = np.concatenate([flat.real[:, support[0]], flat.imag[:, support[1]]], axis=1)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
 
 def _complexify(V, support) -> np.ndarray:
-    """The inverse of ``_realify``, as a gather: much faster than a scatter into zeros."""
-    source = np.full(2 * support[0].size, V.shape[1])  # an appended zero column
-    source[_coords(support)] = np.arange(V.shape[1])
-    return np.take(np.column_stack([V, np.zeros(len(V))]), source, axis=1).view(np.complex128)
+    """The inverse of ``_realify``."""
+    out = np.zeros((len(V), support[0].size), complex)
+    out.real[:, support[0]], out.imag[:, support[1]] = np.split(V, [support[0].sum()], axis=1)
+    return out
 
 
 def _block_svd(rows, cols, vals, shape, kernel_only=False) -> tuple:
     """The SVD of the ``shape`` matrix with vals at (rows, cols), duplicates summed, as one
-    batched SVD per block shape.  A listed (i, j) joins row i and column j; up to a
-    permutation the matrix is block-diagonal with a block per connected component, split
-    on unlisted entries only.  One component is one SVD of the matrix.  The rank rule is global:
-    s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff, rank, gap, span, kernel):
-    span() builds kept right-singular vectors as rows; kernel has discarded left ones as columns.
+    batched SVD per block shape; a row with no entry needs none.  A listed (i, j) joins row i
+    and column j; up to a permutation the matrix is block-diagonal with a block per connected
+    component, split on unlisted entries only.  One component is one SVD of the matrix.  The
+    rank rule is global: s > s[0] * RANK_RTOL, s[0] the largest of all.  Returns (s, cutoff,
+    rank, gap, span, kernel): span() builds kept right-singular vectors as rows; kernel has
+    discarded left ones as columns.
     A caller that reads no span sets ``kernel_only`` (span None) and gets U and s by the R-SVD
     (Chan, ACM TOMS 8, 1982): the SVD of R^T, R from the QR of M^T, as M = R^T Q^T with Q^T of
     orthonormal rows; never from M M^H, whose squared values put the cutoff below roundoff.
@@ -126,9 +155,12 @@ def _block_svd(rows, cols, vals, shape, kernel_only=False) -> tuple:
         block, on = np.zeros(R.size * nk, vals.dtype), shape[row[r]] == size
         np.add.at(block, at_r[r[on]] + at_c[c[on]], vals[on])
         block = block.reshape(len(R), nr, nk)
-        if kernel_only:  # M^T is a view, so the QR takes the only copy of the block
-            block = np.linalg.qr(block.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-        svd = np.linalg.svd(block, full_matrices=nr > nk)  # the kernel needs all nr left vectors
+        if nk == 0:  # a row with no entry is its own unit kernel vector
+            svd = np.ones((len(R), 1, 1), vals.dtype), np.zeros((len(R), 0)), block[:, :0]
+        else:
+            if kernel_only:  # M^T is a view, so the QR takes the only copy of the block
+                block = np.linalg.qr(block.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+            svd = np.linalg.svd(block, full_matrices=nr > nk)  # the kernel needs all nr vectors
         blocks.append((R, C, *svd))
 
     s = np.concatenate([b[3].ravel() for b in blocks] + [np.zeros(0)])
@@ -158,9 +190,9 @@ def _block_svd(rows, cols, vals, shape, kernel_only=False) -> tuple:
 class RealSpan:
     """The real span of matrices M_1..M_m and the kernel of c -> sum c_i M_i.
 
-    ``basis``, assembled when first read, is an (rank, n1, n2) array orthonormal for
-    Re tr(S^dag T); the columns of ``kernel`` are an orthonormal basis of the real
-    coefficient vectors c with sum c_i M_i = 0 (numerically).
+    ``sparse``, assembled when first read, is a basis orthonormal for Re tr(S^dag T) on the
+    coordinates the M_i touch, and ``basis`` the same as a dense (rank, n1, n2) array; the
+    columns of ``kernel`` span the real c with sum c_i M_i = 0 (numerically), orthonormally.
     """
 
     kernel: np.ndarray
@@ -168,12 +200,15 @@ class RealSpan:
     cutoff: float
     rank: int
     gap: float  # first discarded over last kept singular value, 0 if none
-    support: tuple = field(repr=False)  # realified coordinates the span touches
-    _basis: Callable = field(repr=False)  # assembles ``basis``
+    _sparse: Callable = field(repr=False)  # assembles ``sparse``
+
+    @cached_property
+    def sparse(self) -> _Sparse:
+        return self._sparse()
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return self._basis()
+        return self.sparse.dense()
 
     def residuals(self, mats) -> tuple:
         """(norms, distances) of each matrix and of its residual off the span.
@@ -181,10 +216,11 @@ class RealSpan:
         Both use the Frobenius norm; coordinates that are zero in every
         matrix and every basis element drop out exactly.
         """
-        flat = _as_stack(mats).reshape(len(mats), -1)
-        on = tuple(a | b for a, b in zip(_support(flat), self.support))
-        V = _realify(flat, on)
-        Q = _realify(self.basis.reshape(self.rank, flat.shape[1]), on)
+        S, B = _Sparse.of(mats), self.sparse
+        at = _Sparse.join([S, B]).at
+        V, Q = S.take(at), B.take(at)
+        on = tuple(a | b for a, b in zip(_support(V), _support(Q)))
+        V, Q = _realify(V, on), _realify(Q, on)
         resid = V - (V @ Q.T) @ Q
         return np.linalg.norm(V, axis=1), np.linalg.norm(resid, axis=1)
 
@@ -202,30 +238,30 @@ def in_span(span: RealSpan, X) -> bool:
 def realspan(mats) -> RealSpan:
     """Span basis and coefficient kernel of matrices from one realified SVD.
 
-    A real or imaginary coordinate that is exactly zero in every matrix
-    adds nothing to the span or the kernel, so only the others are
-    realified, and ``_block_svd`` splits the SVD over the components of
-    what remains.  The singular values are padded with exact zeros to the
-    count a realification over all coordinates would give.  The rank
-    counts singular values above s[0] * RANK_RTOL.  An empty (0, n1, n2)
-    stack gives the zero span.
+    ``mats`` is a list or stack of matrices, or a ``_Sparse``.  A real or
+    imaginary coordinate that is exactly zero in every matrix adds nothing
+    to the span or the kernel, so only the others are realified, and
+    ``_block_svd`` splits the SVD over the components of what remains.  The
+    singular values are padded with exact zeros to the count a
+    realification over all coordinates would give.  The rank counts
+    singular values above s[0] * RANK_RTOL.  An empty (0, n1, n2) stack
+    gives the zero span.
     """
-    M = _as_stack(mats)
-    m, shape = M.shape[0], M.shape[1:]
-    flat = M.reshape(m, shape[0] * shape[1])
-    support = _support(flat)
-    A = _realify(flat, support)
+    S = _Sparse.of(mats)
+    support = _support(S.vals)
+    A = _realify(S.vals, support)
     r, c = np.divmod(np.flatnonzero(A != 0), A.shape[1])
     s, cutoff, rank, gap, span, kernel = _block_svd(r, c, A[r, c], A.shape)
-    s = np.concatenate([s, np.zeros(min(m, 2 * flat.shape[1]) - s.size)])
+    s = np.concatenate([s, np.zeros(min(len(S.vals), 2 * S.shape[0] * S.shape[1]) - s.size)])
+    on = support[0] | support[1]
     return RealSpan(
         kernel=kernel,
         singular_values=s,
         cutoff=cutoff,
         rank=rank,
         gap=gap,
-        support=support,
-        _basis=lambda: _complexify(span(), support).reshape(rank, *shape),
+        _sparse=lambda: _Sparse(_complexify(span(), tuple(m[on] for m in support)), S.at[on],
+                                S.shape),
     )
 
 
@@ -288,16 +324,24 @@ class _Monomial:
     def singular_values(self) -> np.ndarray:
         return np.abs(self.phase)
 
+    def dagger(self) -> "_Monomial":
+        return _Monomial(self.inv, self.perm, np.take_along_axis(self.phase, self.inv, -1).conj())
+
+    def __neg__(self) -> "_Monomial":
+        return _Monomial(self.perm, self.inv, -self.phase)
+
     def __getitem__(self, k) -> "_Monomial":
         return _Monomial(self.perm[k], self.inv[k], self.phase[k])
 
     def __matmul__(self, other):
-        """self @ other, matrix by matrix over equal stacks; two monomials compose in O(n)."""
+        """self @ other, matrix by matrix over stacks that broadcast; two monomials compose in
+        O(n), and a matrix composes with each of a stack."""
         if not isinstance(other, _Monomial):
-            return _Dense(other.rmul(self.lmul(np.eye(len(self.phase)))))
-        at = np.arange(0, self.perm.size, self.perm.shape[-1]).reshape(*self.perm.shape[:-1], 1)
-        return _Monomial(other.perm.ravel()[self.perm + at], self.inv.ravel()[other.inv + at],
-                         self.phase * other.phase.ravel()[self.perm + at])
+            return _Dense(other.rmul(self.lmul(np.eye(self.phase.shape[-1]))))
+        p, i, ph, q, j, qh = np.broadcast_arrays(self.perm, self.inv, self.phase,
+                                                 other.perm, other.inv, other.phase)
+        at = np.arange(0, p.size, p.shape[-1]).reshape(*p.shape[:-1], 1)
+        return _Monomial(q.ravel()[p + at], i.ravel()[j + at], ph * qh.ravel()[p + at])
 
     def sum_defect(self, other, c) -> float:
         """max |self + other - c 1| over equal monomial stacks, one c per matrix: row i is read
@@ -308,20 +352,34 @@ class _Monomial:
         return float(np.abs(S - np.where(i == j, np.asarray(c)[..., None], 0)).max(initial=0.0))
 
     def lmul(self, A) -> np.ndarray:
-        """M @ A on the last two axes of A."""
-        return self.phase[:, None] * A[..., self.perm, :]
+        """M @ A on the last two axes of A, or each M of a stack times one matrix A."""
+        return self.phase[..., None] * A[..., self.perm, :]
 
     def rmul(self, A) -> np.ndarray:
         """A @ M on the last two axes of A."""
         return (A * self.phase)[..., self.inv]
 
-    def commutator_norm(self, X) -> float:
-        """max |X @ M - M @ X| over a matrix or stack X, read on the rows and columns M touches."""
-        ph, r = self.phase, np.flatnonzero(self.phase)
-        c = self.perm[r]
-        cols = np.take(X, r, axis=-1) * ph[r] - ph[:, None] * X[..., self.perm[:, None], c]
-        rows = X[..., r[:, None], self.inv] * ph[self.inv] - ph[r, None] * np.take(X, c, axis=-2)
-        return float(max(np.abs(cols).max(initial=0.0), np.abs(rows).max(initial=0.0)))
+    def mul_on(self, S: _Sparse, left=True) -> _Sparse:
+        """M @ S, or S @ M unless ``left``, for each M of the stack and each matrix of S,
+        M-major: entry (r, c) of S moves to (inv[r], c) times phase[inv[r]], or to
+        (r, perm[c]) times phase[c], on the union of the coordinates with a nonzero phase."""
+        (r, c), n = np.divmod(S.at, S.shape[1]), self.perm.shape[-1]
+        perm, inv, phase = (x.reshape(-1, n) for x in (self.perm, self.inv, self.phase))
+        if left:
+            r = inv[:, r]
+            phase = np.take_along_axis(phase, r, 1)
+        else:
+            phase, c = phase[:, c], perm[:, c]
+        at = r * S.shape[1] + c
+        at[phase == 0] = -1
+        union = _distinct(at)
+        union = union[union >= 0]
+        pos = np.searchsorted(union, at)
+        pos[at < 0] = union.size  # a last column takes the products by a zero phase
+        out = np.zeros((len(at), len(S.vals), union.size + 1), complex)
+        out[np.arange(len(at))[:, None, None], np.arange(len(S.vals))[:, None], pos[:, None]] = (
+            phase[:, None] * S.vals if left else S.vals * phase[:, None])
+        return _Sparse(out[..., :-1].reshape(len(at) * len(S.vals), union.size), union, S.shape)
 
 
 @dataclass(frozen=True)
@@ -344,11 +402,17 @@ class _Dense:
         sv = np.linalg.svd(self.mat, compute_uv=False)
         return 1.0 / sv[::-1] if self.inverted else sv
 
+    def dagger(self) -> "_Dense":
+        return _Dense(self.mat.conj().swapaxes(-1, -2), self.inverted)
+
+    def __neg__(self) -> "_Dense":
+        return _Dense(-self.mat, self.inverted)
+
     def __getitem__(self, k) -> "_Dense":
         return _Dense(self.mat[k], self.inverted)
 
     def __matmul__(self, other):
-        return _Dense(other.rmul(self.lmul(np.eye(self.mat.shape[-1]))))
+        return _Dense(self.lmul(other.lmul(np.eye(self.mat.shape[-1]))))
 
     def sum_defect(self, other, c) -> float:
         eye = np.eye(self.mat.shape[-1])
@@ -361,8 +425,9 @@ class _Dense:
     def rmul(self, A) -> np.ndarray:
         return A @ (np.linalg.inv(self.mat) if self.inverted else self.mat)
 
-    def commutator_norm(self, X) -> float:
-        return float(np.abs(self.rmul(X) - self.lmul(X)).max(initial=0.0))
+    def mul_on(self, S: _Sparse, left=True) -> _Sparse:
+        each = _Dense(self.mat[..., None, :, :], self.inverted)  # M-major over the stacks
+        return _Sparse.of((each.lmul if left else each.rmul)(S.dense()).reshape(-1, *S.shape))
 
 
 def _operator(A):
@@ -513,40 +578,44 @@ def relate_fundamental_symmetries(eta, nu, form: KreinForm) -> np.ndarray:
 
 
 def trace_form(S, T, varpi=None) -> np.ndarray:
-    """The matrix B(S_k, T_l) = tr(varpi S_k^dag varpi T_l) of two (m, n, n) stacks.
+    """The matrix B(S_k, T_l) = tr(varpi S_k^dag varpi T_l) of two stacks, each a list, an
+    (m, n, n) array or a ``_Sparse``.
 
-    ``varpi`` None is the identity.  B is one matrix product of the
-    flattened stacks, because tr(A T) sums A^T * T entrywise and
+    ``varpi`` None is the identity.  B is one matrix product over the coordinates where
+    varpi^T conj(S) varpi^T can be nonzero, because tr(A T) sums A^T * T entrywise and
     (varpi S^dag varpi)^T = varpi^T conj(S) varpi^T.
     """
-    A = S.conj()
+    S, T = _Sparse.of(S), _Sparse.of(T)
+    A = _Sparse(S.vals.conj(), S.at, S.shape)
     if varpi is not None:
         W = _operator(as_matrix(varpi).T)
-        A = W.lmul(W.rmul(A))
-    return A.reshape(len(A), -1) @ T.reshape(len(T), -1).T
+        A = W.mul_on(W.mul_on(A, left=False))
+    return A.vals @ T.take(A.at).T
 
 
 def real_bilinear_project(X, span, varpi=None, gram=None):
     """Orthogonal projection of X onto span for Re B(S,T) = Re tr(varpi S^dag varpi T).
 
-    The projection lies in the real span (the right notion for real
-    algebras).  Returns (projection, residual) with the residual
-    Re B-orthogonal to every span element.  A caller that already holds
-    the real Gram of ``span`` for this form passes it as ``gram``.  A
-    Gram conditioned worse than COND_MAX raises
-    ``DegenerateProjectionError``.
+    ``span`` is a list or stack of matrices, or a ``_Sparse``.  The projection lies in the
+    real span (the right notion for real algebras), on the span's coordinates.  Returns
+    (projection, residual): the residual, Re B-orthogonal to every span element, is a copy of
+    X changed on those coordinates only.  A caller that already holds the real Gram of
+    ``span`` for this form passes it as ``gram``.  A Gram conditioned worse than COND_MAX
+    raises ``DegenerateProjectionError``.
     """
     X = as_matrix(X)
-    mats = [as_matrix(S) for S in span]
-    if not mats:
+    if not len(span.vals if isinstance(span, _Sparse) else span):
         raise ValueError("span must be nonempty")
-    S = np.stack(mats)
+    S = _Sparse.of(span)
+    if not np.isfinite(S.vals).all():
+        raise ValueError("matrix has non-finite entries")
     v = trace_form(S, X[None], varpi)[:, 0].real
     if gram is None:
         gram = trace_form(S, S, varpi).real
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > COND_MAX:
         raise DegenerateProjectionError("degenerate projection product")
-    coeff = np.linalg.solve(gram, v)
-    proj = sum(c * S for c, S in zip(coeff, mats))
-    return proj, X - proj
+    proj = _Sparse((np.linalg.solve(gram, v) @ S.vals)[None], S.at, S.shape)
+    resid = X.copy()
+    resid.reshape(-1)[S.at] -= proj.vals[0]
+    return proj.dense()[0], resid

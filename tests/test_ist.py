@@ -244,12 +244,16 @@ def test_triple_is_frozen_with_read_only_copies(module_of):
 
 
 def test_one_form_generators_match_the_pairwise_products(rng):
-    # the batched product gives the i-major stack of the loop it replaced, bit for bit
+    # the products on the support, scattered back to (m, n, n), give the i-major stack of the
+    # dense loop, bit for bit
     for n in (1, 3):
         triple = build_sm(random_yukawas(rng, n)).triple
-        comms, pairs = ist.one_form_generators(triple)
-        loop = np.array([a @ c for a in triple.algebra.basis for _, c in comms])
-        assert pairs.shape == loop.shape and np.array_equal(pairs, loop)
+        kept, comms, pairs = ist.one_form_generators(triple)
+        D, basis = triple.dirac, triple.algebra.basis
+        assert np.array_equal(comms.dense(), np.array([D @ basis[j] - basis[j] @ D for j in kept]))
+        loop = np.array([a @ c for a in basis for c in comms.dense()])
+        assert pairs.dense().shape == loop.shape and np.array_equal(pairs.dense(), loop)
+        assert pairs.at.size == np.count_nonzero((loop != 0).any(axis=0))  # no scan found more
 
 
 def test_algebra_keeps_read_only_copies():
@@ -281,7 +285,8 @@ def test_triples_of_one_dim_share_a_read_only_scalar_algebra(module_of):
 
 
 def _dense_restatement(t):
-    """(order zero, first order, closure, rep_even, one-form pairs) by dense products."""
+    """(order zero, first order, closure, rep_even, rep_involutive, one-form pairs) by dense
+    products and per-matrix Krein adjoints."""
     basis, D = t.algebra.basis, t.dirac
     opp = [opposite(t, b) for b in basis]
     comms = [D @ a - a @ D for a in basis]
@@ -296,19 +301,21 @@ def _dense_restatement(t):
         norms, dists = span.residuals(a @ B)
         closure = max(closure, float((dists / np.maximum(1.0, norms)).max()))
     rep_even = max(np.abs(t.chi @ b - b @ t.chi).max() for b in basis)
+    rep_inv = max(np.abs(t.form.adjoint(b) - c).max() for b, c in zip(basis, t.algebra.involution))
     scale = max(1.0, np.abs(D).max())
     kept = [c for c in comms if np.abs(c).max() > COMM_VANISH * scale]
     pairs = np.array([a @ c for a in basis for c in kept]).reshape(-1, t.dim, t.dim)
-    return worst(basis), worst(comms), closure, rep_even, pairs
+    return worst(basis), worst(comms), closure, rep_even, rep_inv, pairs
 
 
 def _assert_matches_dense_restatement(t, label):
-    oz, fo, closure, rep_even, pairs = _dense_restatement(t)
+    oz, fo, closure, rep_even, rep_inv, pairs = _dense_restatement(t)
     assert order_zero(t) == oz and first_order(t) == fo, label
     assert t.algebra.closure_violation() == closure, label
     violations = check_axioms(t).violations
     assert violations["rep_even"] == rep_even and violations["algebra_closed"] == closure, label
-    got = ist.one_form_generators(t)[1]
+    assert violations["rep_involutive"] == rep_inv, label
+    got = ist.one_form_generators(t)[2].dense()
     assert got.shape == pairs.shape and np.array_equal(got, pairs), label
 
 
@@ -357,32 +364,36 @@ def test_dense_algebra_element_takes_the_dense_route(rng):
     dense = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
     basis = list(t.algebra.basis[:-1]) + [dense]
     moved = dataclasses.replace(t, algebra=FiniteAlgebra(basis, basis))
-    ops, opp = moved.algebra._operators, ist._opposites(moved)
-    # the route is picked per matrix: the other elements keep their gathers
-    assert isinstance(ops[-1], _Dense) and isinstance(opp[-1], _Dense)
-    assert all(isinstance(b, _Monomial) for b in ops[:-1])
-    oz, fo, closure, rep_even, pairs = _dense_restatement(moved)
+    opp = ist._opposites(moved)
+    # an opposite's route is picked per matrix, the algebra's per stack: one dense element
+    # makes its stack dense, with the same values
+    assert isinstance(opp[-1], _Dense) and all(isinstance(b, _Monomial) for b in opp[:-1])
+    assert isinstance(moved.algebra._stacks[0], _Dense)
+    oz, fo, closure, rep_even, rep_inv, pairs = _dense_restatement(moved)
     assert order_zero(moved) == oz > 1.0 and first_order(moved) == fo > 1.0
     assert moved.algebra.closure_violation() == closure
-    assert check_axioms(moved).violations["rep_even"] == rep_even
-    assert np.array_equal(ist.one_form_generators(moved)[1], pairs)
+    violations = check_axioms(moved).violations
+    assert violations["rep_even"] == rep_even and violations["rep_involutive"] == rep_inv
+    assert np.array_equal(ist.one_form_generators(moved)[2].dense(), pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sm_algebra_and_opposites_are_monomial(n, rng):
     t = build_sm(random_yukawas(rng, n)).triple
     assert t.algebra is sm_algebra(n)
-    monos, opp = sm_algebra(n)._operators, ist._opposites(t)
-    assert all(isinstance(b, _Monomial) for b in monos + opp) and len(monos) == len(opp) == 24
-    for b, m in zip(t.algebra.basis, monos):
-        assert np.array_equal(m.lmul(np.eye(t.dim)), b)
+    monos, opp = sm_algebra(n)._stacks[0], ist._opposites(t)
+    assert isinstance(monos, _Monomial) and all(isinstance(b, _Monomial) for b in opp)
+    assert monos.perm.shape == (len(opp), t.dim) == (24, t.dim)
+    for k, b in enumerate(t.algebra.basis):
+        assert np.array_equal(monos[k].lmul(np.eye(t.dim)), b)
+    assert np.array_equal(sm_algebra(n)._sparse.dense(), np.stack(t.algebra.basis))
 
 
 def test_order_conditions_on_an_empty_algebra():
     c = from_clifford_module(cached_module(1, 3), "east")
     empty = dataclasses.replace(c, algebra=FiniteAlgebra([], []))
     assert order_zero(empty) == 0.0 and first_order(empty) == 0.0
-    comms, pairs = ist.one_form_generators(empty)
-    assert comms == [] and pairs.shape == (0, c.dim, c.dim)
+    kept, comms, pairs = ist.one_form_generators(empty)
+    assert kept == [] and pairs.dense().shape == (0, c.dim, c.dim)
     assert empty.algebra.closure_violation() == 0.0  # the zero algebra is closed
     assert check_axioms(empty).ok and triple_dims(empty) == triple_dims(c)

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas
-from istlab.clifford import Signature, build
+from istlab.clifford import Signature, build, robinson_solution_space
 from istlab.ist import one_form_generators
 from istlab.kspace import (
     RANK_RTOL,
@@ -17,6 +17,7 @@ from istlab.kspace import (
     KreinForm,
     _Dense,
     _Monomial,
+    _Sparse,
     _block_svd,
     _operator,
     antilinear_adjoint,
@@ -252,7 +253,7 @@ def _realspan_case(case, rng):
         return np.stack(mats), False
     if case.startswith("sm"):
         model = build_sm(random_yukawas(rng, int(case[-1])))
-        return one_form_generators(model.triple)[1], True
+        return one_form_generators(model.triple)[2].dense(), True
     if case.startswith("robinson"):
         q, p = (int(x) for x in case.split("-")[1:])
         return _robinson_images(build(Signature(q, p)).gammas), True
@@ -371,6 +372,21 @@ def test_kernel_only_route_matches_the_full_svd(rng):
     assert np.abs(got_s - s).max() <= 1e-12 * s[0] and abs(got_cutoff - cutoff) <= 1e-12 * cutoff
     assert abs(got_gap - gap) <= 1e-12
     assert np.abs(got @ got.conj().T - kernel @ kernel.conj().T).max() <= 1e-12
+
+
+def test_rows_without_entries_take_no_svd(rng, monkeypatch):
+    # a zero matrix is a row of the realified matrix with no entry: its unit kernel vector
+    # comes without an SVD, in the kernel column it had when it took one
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    A = random_matrix(rng, 3)
+    span = realspan(np.stack([A, np.zeros((3, 3)), 2 * A, np.zeros((3, 3))]))
+    assert len(shapes) == 1 and 0 not in shapes[0] and span.rank == 1
+    assert np.array_equal(span.kernel[:, :2], np.eye(4)[:, [1, 3]])
+    assert_allclose(np.abs(span.kernel[:, 2]), np.array([2, 0, 1, 0]) / np.sqrt(5), atol=1e-15)
+    shapes.clear()
+    assert len(robinson_solution_space(build(Signature(2, 2)))) == 1
+    assert len(shapes) == 2 and all(0 not in shape for shape in shapes)
 
 
 def test_realspan_rejects_non_finite_entries():
@@ -500,7 +516,9 @@ def test_monomial_of_partial_and_refused_inputs(rng):
     assert isinstance(_operator(np.zeros((3, 3))), _Monomial)
     X = random_matrix(rng, 4)
     assert np.array_equal(mono.lmul(X), A @ X) and np.array_equal(mono.rmul(X), X @ A)
-    assert mono.commutator_norm(X) == np.abs(X @ A - A @ X).max()
+    S = _Sparse.of([X])
+    assert np.array_equal(mono.mul_on(S).dense()[0], A @ X)
+    assert np.array_equal(mono.mul_on(S, left=False).dense()[0], X @ A)
     two = A.copy()
     two[0, 1] = 1.0  # two nonzeros in row 0
     assert isinstance(_operator(two), _Dense)
@@ -555,7 +573,10 @@ def test_monomial_and_dense_operators_agree(rng):
             assert np.array_equal(mono.lmul(Y), dense.lmul(Y)), label
             assert np.array_equal(mono.rmul(Y), dense.rmul(Y)), label
             assert np.array_equal(mono.conj().rmul(Y), dense.conj().rmul(Y)), label
-            assert mono.commutator_norm(Y) == dense.commutator_norm(Y), label
+            S = _Sparse.of(Y if Y.ndim == 3 else [Y])
+            for left in (True, False):
+                got, want = mono.mul_on(S, left), dense.mul_on(S, left)
+                assert np.array_equal(got.dense(), want.dense()), label
         product = mono @ _operator(M.T)  # two monomials compose into one, a dense operand densely
         assert isinstance(product, _Monomial) and np.array_equal(_dense(product), M @ M.T), label
         assert np.array_equal((mono @ _Dense(X)).mat, M @ X), label
@@ -565,7 +586,7 @@ def test_monomial_and_dense_operators_agree(rng):
             scale = np.abs(X).max() * np.abs(1.0 / mono.phase).max()
             inv, dense_inv = mono.inverse(), dense.inverse()
             for f in (lambda op: op.lmul(X), lambda op: op.rmul(X), lambda op: op.conj().lmul(X),
-                      lambda op: op.commutator_norm(X),
+                      lambda op: op.mul_on(_Sparse.of([X])).dense(),
                       lambda op: np.sort(op.singular_values()) * np.abs(X).max()):
                 assert np.abs(f(inv) - f(dense_inv)).max() <= 1e-15 * scale, label
         else:  # both refuse a singular matrix
@@ -574,6 +595,25 @@ def test_monomial_and_dense_operators_agree(rng):
                     op.inverse().lmul(X)
         seen += 1
     assert seen == 2 * 3 + (24 + 24) + 15 * (2 + 4 * 2) + 1
+
+
+def test_monomial_stacks_compose_with_dense_operands(rng):
+    # a stack of monomials composes with one dense matrix, or one inverted, matrix by matrix;
+    # the rep checks compose the algebra's stack with a dense grading or gram this way
+    n = 5
+    mats = np.zeros((3, n, n), complex)
+    for M in mats:
+        M[np.arange(n), rng.permutation(n)] = rng.choice([1, -1, 1j, -1j], size=n)
+    B, X = _operator(mats), random_matrix(rng, n)
+    H = X + X.conj().T + 8 * np.eye(n)
+    assert isinstance(B, _Monomial) and B.perm.shape == (3, n)
+    assert np.array_equal((B @ _Dense(X)).mat, mats @ X)
+    assert np.array_equal((_Dense(X) @ B).mat, X @ mats)
+    assert np.array_equal((B.dagger() @ _Dense(X)).mat, mats.conj().transpose(0, 2, 1) @ X)
+    adjoint = _Dense(H).inverse() @ (B.dagger() @ _Dense(H))  # H^-1 b^dag H by the solve
+    want = [KreinForm(H).adjoint(M) for M in mats]
+    assert np.array_equal(adjoint.mat, want)
+    assert (-B).sum_defect(_operator(-mats), 0.0) == 2 * np.abs(mats).max()
 
 
 def test_monomial_sum_defect_reads_every_entry(rng):

@@ -1,11 +1,28 @@
+import dataclasses
+
 import numpy as np
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas
 from istlab import ncforms
-from istlab.ist import FiniteAlgebra, IndefiniteTriple, from_clifford_module
-from istlab.kspace import AntilinearOperator, KreinForm, in_span, realspan
+from istlab.ist import (
+    FiniteAlgebra,
+    IndefiniteTriple,
+    check_axioms,
+    from_clifford_module,
+    one_form_generators,
+)
+from istlab.kspace import (
+    COMM_VANISH,
+    JUNK_VANISH,
+    AntilinearOperator,
+    KreinForm,
+    _Dense,
+    in_span,
+    realspan,
+)
 from istlab.sm import build_sm, higgs_field_strength, quaternion
+from test_ist import _route_cases
 
 
 def two_point_triple(w=0.7):
@@ -134,3 +151,64 @@ def test_q_space_carries_the_junk_span_it_builds(rng, module_of):
         qs, junk = ncforms.q_space(t), ncforms.junk_two_forms(t)
         assert qs.junk.rank == junk.rank and qs.junk.basis.shape == junk.basis.shape
         assert qs.junk.basis.tobytes() == junk.basis.tobytes()
+
+
+# --- the support route against the dense pipeline -------------------------
+
+
+def _dense_forms(t, X, varpi):
+    """(one-form span, junk span, Q span, residual of X) by the dense pipeline: every stack
+    (m, n, n), products by matrix multiplication, the Gram and projection by einsum."""
+    basis, D, n = t.algebra.basis, t.dirac, t.dim
+    comms = [D @ b - b @ D for b in basis]
+    kept = [j for j, c in enumerate(comms) if np.abs(c).max() > COMM_VANISH * max(1, np.abs(D).max())]
+    C = np.array([comms[j] for j in kept]).reshape(-1, n, n)
+    forms = realspan(np.array([a @ c for a in basis for c in C]).reshape(-1, n, n))
+    k, nk = len(kept), forms.kernel.shape[1]
+    coeff = forms.kernel.T.reshape(nk, len(basis), k)[:, kept, :].reshape(nk, k * k)
+    images = (coeff @ (C[:, None] @ C[None, :]).reshape(k * k, n * n)).reshape(nk, n, n)
+    big = np.abs(images).max(axis=(1, 2), initial=0) > JUNK_VANISH * np.abs(C).max(initial=0) ** 2
+    junk = realspan(images[big])
+    Q = realspan(np.concatenate([np.stack(basis), junk.basis]))
+    W = np.eye(n) if varpi is None else varpi
+    WS = W @ Q.basis.conj().transpose(0, 2, 1) @ W
+    G = np.einsum("kab,lba->kl", WS, Q.basis).real
+    v = np.einsum("kab,ba->k", WS, X).real
+    return forms, junk, Q, X - np.einsum("k,kab->ab", np.linalg.solve(G, v), Q.basis)
+
+
+def _support_route_cases(rng):
+    """(label, triple, varpi, X): SM at N = 1..3, the route cases that pass the axioms the
+    forms need (not the leaked quaternion nor the odd-signature even algebras), and an SM
+    algebra with one dense element."""
+    for n in (1, 2, 3):
+        model = build_sm(random_yukawas(rng, n))
+        q_h = quaternion(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+        yield f"sm-n{n}", model.triple, model.varpi, higgs_field_strength(model, q_h)
+    for label, t in _route_cases(rng):
+        if check_axioms(t).ok:
+            yield f"route {label}", t, None, rng.normal(size=(t.dim,) * 2) + 1j * rng.normal(size=(t.dim,) * 2)
+    model = build_sm(random_yukawas(rng, 1))
+    t, c = model.triple, rng.normal(size=24)  # the last element a real mix of all: same span
+    mix = [sum(x * b for x, b in zip(c, images)) for images in (t.algebra.basis, t.algebra.involution)]
+    algebra = FiniteAlgebra(t.algebra.basis[:-1] + mix[:1], t.algebra.involution[:-1] + mix[1:])
+    X = higgs_field_strength(model, quaternion(0.3 - 0.2j, 0.5j))
+    yield "sm-dense-element", dataclasses.replace(t, algebra=algebra), model.varpi, X
+
+
+def test_support_route_matches_the_dense_pipeline(rng):
+    seen = set()
+    for label, t, varpi, X in _support_route_cases(rng):
+        forms, junk, Q, resid = _dense_forms(t, X, varpi)
+        got_forms, qs = ncforms.one_forms(t), ncforms.q_space(t, varpi)
+        # the realified pair matrix is the same, so are its rank, gap and kernel, bit for bit
+        assert (got_forms.rank, got_forms.gap) == (forms.rank, forms.gap), label
+        assert np.array_equal(realspan(one_form_generators(t)[2]).kernel, forms.kernel)
+        for got, want in ((qs.junk, junk), (qs.forms, Q)):
+            assert got.rank == want.rank and abs(got.gap - want.gap) <= 1e-12, label
+        got = ncforms.project_two_form(t, X, varpi)
+        assert np.abs(got - resid).max() <= 1e-12 * max(1.0, np.abs(X).max()), label
+        seen.add(label)
+    assert {"sm-n2", "route sm-n3", "route sm-generic-z", "route west x sm-n1"} <= seen
+    assert "route sm-leaked-h:j" not in seen and len(seen) == 33
+    assert isinstance(t.algebra._stacks[0], _Dense)  # the dense element's stack

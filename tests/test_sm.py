@@ -276,8 +276,8 @@ def test_higgs_projection_closed_props(rng):
 
 
 def test_higgs_projection_matches_generic(rng):
-    for _ in range(5):
-        y = random_yukawas(rng, 1)
+    for n in (1,) * 5 + (2, 3):  # N = 2 and 3 after the five N = 1 draws
+        y = random_yukawas(rng, n)
         model = build_sm(y)
         q_h = quaternion(
             rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
