@@ -196,8 +196,8 @@ def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
     v["rep_even"] = v["rep_involutive"] = 0.0
     if triple.algebra.basis:  # [chi, b] and b^x - b^* by composed operators, one per stack
         (B, Binv), X, H = triple.algebra._stacks, _operator(chi), form._op
-        v["rep_even"] = (X @ B).sum_defect(-(B @ X), 0.0)
-        v["rep_involutive"] = (H.inverse() @ (B.dagger() @ H)).sum_defect(-Binv, 0.0)
+        v["rep_even"] = (X @ B).diff_defect(B @ X)
+        v["rep_involutive"] = (H.inverse() @ (B.dagger() @ H)).diff_defect(Binv)
     v["algebra_closed"] = triple.algebra.closure_violation()
     return v
 

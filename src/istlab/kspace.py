@@ -217,7 +217,7 @@ class RealSpan:
         matrix and every basis element drop out exactly.
         """
         S, B = _Sparse.of(mats), self.sparse
-        at = _Sparse.join([S, B]).at
+        at = _distinct(np.concatenate([S.at, B.at]))
         V, Q = S.take(at), B.take(at)
         on = tuple(a | b for a, b in zip(_support(V), _support(Q)))
         V, Q = _realify(V, on), _realify(Q, on)
@@ -327,21 +327,20 @@ class _Monomial:
     def dagger(self) -> "_Monomial":
         return _Monomial(self.inv, self.perm, np.take_along_axis(self.phase, self.inv, -1).conj())
 
-    def __neg__(self) -> "_Monomial":
-        return _Monomial(self.perm, self.inv, -self.phase)
-
     def __getitem__(self, k) -> "_Monomial":
         return _Monomial(self.perm[k], self.inv[k], self.phase[k])
 
     def __matmul__(self, other):
-        """self @ other, matrix by matrix over stacks that broadcast; two monomials compose in
-        O(n), and a matrix composes with each of a stack."""
+        """self @ other, matrix by matrix over equal stacks, or one matrix with each of a stack;
+        two monomials compose in O(n)."""
         if not isinstance(other, _Monomial):
             return _Dense(other.rmul(self.lmul(np.eye(self.phase.shape[-1]))))
-        p, i, ph, q, j, qh = np.broadcast_arrays(self.perm, self.inv, self.phase,
-                                                 other.perm, other.inv, other.phase)
-        at = np.arange(0, p.size, p.shape[-1]).reshape(*p.shape[:-1], 1)
-        return _Monomial(q.ravel()[p + at], i.ravel()[j + at], ph * qh.ravel()[p + at])
+        if self.perm.ndim == 1 or other.perm.ndim == 1:
+            return _Monomial(other.perm[..., self.perm], self.inv[..., other.inv],
+                             self.phase * other.phase[..., self.perm])
+        at = np.arange(0, self.perm.size, self.perm.shape[-1]).reshape(*self.perm.shape[:-1], 1)
+        return _Monomial(other.perm.ravel()[self.perm + at], self.inv.ravel()[other.inv + at],
+                         self.phase * other.phase.ravel()[self.perm + at])
 
     def sum_defect(self, other, c) -> float:
         """max |self + other - c 1| over equal monomial stacks, one c per matrix: row i is read
@@ -350,6 +349,15 @@ class _Monomial:
         j = np.stack([self.perm, other.perm, i])
         S = np.where(self.perm == j, self.phase, 0) + np.where(other.perm == j, other.phase, 0)
         return float(np.abs(S - np.where(i == j, np.asarray(c)[..., None], 0)).max(initial=0.0))
+
+    def diff_defect(self, other) -> float:
+        """max |self - other| over equal stacks: two monomials differ only where a row of one
+        or the other is nonzero, read as the dense difference's entries."""
+        if not isinstance(other, _Monomial):
+            return _Dense(self.lmul(np.eye(self.perm.shape[-1]))).diff_defect(other)
+        a, b = np.abs(self.phase), np.abs(other.phase)
+        same = self.perm == other.perm
+        return float(np.where(same, np.abs(self.phase - other.phase), np.maximum(a, b)).max(initial=0.0))
 
     def lmul(self, A) -> np.ndarray:
         """M @ A on the last two axes of A, or each M of a stack times one matrix A."""
@@ -405,9 +413,6 @@ class _Dense:
     def dagger(self) -> "_Dense":
         return _Dense(self.mat.conj().swapaxes(-1, -2), self.inverted)
 
-    def __neg__(self) -> "_Dense":
-        return _Dense(-self.mat, self.inverted)
-
     def __getitem__(self, k) -> "_Dense":
         return _Dense(self.mat[k], self.inverted)
 
@@ -418,6 +423,10 @@ class _Dense:
         eye = np.eye(self.mat.shape[-1])
         S = self.lmul(eye) + other.lmul(eye) - np.multiply.outer(c, eye)
         return float(np.abs(S).max(initial=0.0))
+
+    def diff_defect(self, other) -> float:
+        eye = np.eye(self.mat.shape[-1])
+        return float(np.abs(self.lmul(eye) - other.lmul(eye)).max(initial=0.0))
 
     def lmul(self, A) -> np.ndarray:
         return np.linalg.solve(self.mat, A) if self.inverted else self.mat @ A

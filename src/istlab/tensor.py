@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import CliffordModule, Signature, _assemble, _kron, _product
-from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms
+from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms, scalar_algebra
 from .kspace import (
     RTOL,
     AntilinearOperator,
@@ -80,18 +80,20 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
         x, y = np.reshape(x, (-1, 1, n1, n1)), np.reshape(y, (-1, n2, n2))
         return list(_kron(x, y).reshape(-1, n1 * n2, n1 * n2))
 
-    basis = every(t1.algebra.basis, t2.algebra.basis)
-    involution = every(t1.algebra.involution, t2.algebra.involution)
-    labels = [
-        f"{la}*{lb}" for la in t1.algebra.labels for lb in t2.algebra.labels
-    ]
+    if t1.algebra is scalar_algebra(n1) and t2.algebra is scalar_algebra(n2):
+        algebra = scalar_algebra(n1 * n2)  # R (x) R = R, shared with its memoised checks
+    else:
+        basis = every(t1.algebra.basis, t2.algebra.basis)
+        involution = every(t1.algebra.involution, t2.algebra.involution)
+        labels = [f"{la}*{lb}" for la in t1.algebra.labels for lb in t2.algebra.labels]
+        algebra = FiniteAlgebra(basis, involution, labels)
 
     return IndefiniteTriple(
         form=form,
         chi=chi,
         cc=AntilinearOperator(cc),
         dirac=dirac,
-        algebra=FiniteAlgebra(basis, involution, labels),
+        algebra=algebra,
         sigma=(t1.sigma + t2.sigma) % 2,
     )
 

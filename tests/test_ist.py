@@ -274,6 +274,7 @@ def test_triples_of_one_dim_share_a_read_only_scalar_algebra(module_of):
     t2 = from_clifford_module(module_of(2, 2), "south")
     assert t1.algebra is t2.algebra is scalar_algebra(4)
     assert from_clifford_module(module_of(0, 2), "east").algebra is not t1.algebra
+    assert tensor_ist(t1, t2).algebra is scalar_algebra(16)  # R (x) R = R
     with pytest.raises(ValueError, match="read-only"):
         t1.algebra.basis[0][0, 0] = 2.0
 

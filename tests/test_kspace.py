@@ -613,7 +613,8 @@ def test_monomial_stacks_compose_with_dense_operands(rng):
     adjoint = _Dense(H).inverse() @ (B.dagger() @ _Dense(H))  # H^-1 b^dag H by the solve
     want = [KreinForm(H).adjoint(M) for M in mats]
     assert np.array_equal(adjoint.mat, want)
-    assert (-B).sum_defect(_operator(-mats), 0.0) == 2 * np.abs(mats).max()
+    for P, Q in ((B, _operator(mats[::-1])), (B, _Dense(mats[::-1])), (_Dense(mats[::-1]), B)):
+        assert P.diff_defect(Q) == np.abs(mats - mats[::-1]).max()  # also across the routes
 
 
 def test_monomial_sum_defect_reads_every_entry(rng):
