@@ -1,6 +1,6 @@
 """Only ``kspace`` picks between the monomial and the dense operator route.
 
-``kspace._operator`` decides, per matrix, whether products go through a
+``kspace._operator`` decides, per matrix or per stack, whether products go through a
 ``_Monomial`` (gathers) or a ``_Dense`` (matrix products).  Every other
 module calls the operator it returns without asking which one it got, so
 neither class is named anywhere in ``src/istlab`` outside ``kspace.py``.
