@@ -15,6 +15,7 @@ import numpy as np
 
 from .dims import SignQuadruple, cardinal_table, signs_from_dims
 from .kspace import (
+    AXIOM_TOL,
     UNIT_TOL,
     AntilinearOperator,
     KreinForm,
@@ -22,6 +23,7 @@ from .kspace import (
     _operator,
     antilinear_adjoint,
     as_matrix,
+    read_sign,
     realspan,
     scalar_coefficient,
     snap_sign,
@@ -99,8 +101,7 @@ def _normalized_symmetry(mats, gram: KreinForm) -> np.ndarray:
     P = np.eye(n, dtype=complex)
     for g in mats:
         P = P @ g
-    sq = scalar_coefficient(P @ P, np.eye(n))
-    if snap_sign(sq) < 0:
+    if read_sign(P @ P, np.eye(n), "the product squares to no sign")[0] < 0:
         P = 1j * P
     M = gram.gram @ P
     eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
@@ -217,12 +218,25 @@ def convention_pairing(module: CliffordModule, convention: str):
     return form, cc
 
 
+def _cc_readings(form: KreinForm, cc: AntilinearOperator, chi) -> dict:
+    """``read_sign`` of J^2 = eps, J^x = kap J and J chi = eps2 chi J, keyed by axiom name."""
+    return {"cc_square": read_sign(cc.square(), np.eye(form.dim)),
+            "cc_adjoint": read_sign(antilinear_adjoint(cc, form).mat, cc.mat),
+            "cc_homogeneous": read_sign(cc.mat @ np.conj(chi), chi @ cc.mat)}
+
+
+def _signs_of(readings: dict, chi_sign: int) -> SignQuadruple:
+    """The quadruple of ``_cc_readings`` with kap2 = chi_sign eps2, refused above AXIOM_TOL."""
+    if bad := {k: d for k, (_, d) in readings.items() if d > AXIOM_TOL}:
+        raise ValueError(f"charge conjugation relations exceed AXIOM_TOL {AXIOM_TOL:g}: {bad}")
+    (eps, _), (kap, _), (eps2, _) = readings.values()
+    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=chi_sign * eps2)
+
+
 def measure_signs(form: KreinForm, cc: AntilinearOperator, chi) -> SignQuadruple:
-    """Measure (eps, eps2, kap, kap2) of a charge conjugation, grading and form."""
-    eps = snap_sign(scalar_coefficient(cc.square(), np.eye(form.dim)))
-    eps2 = cc.parity_sign(chi)
-    kap = snap_sign(scalar_coefficient(antilinear_adjoint(cc, form).mat, cc.mat))
-    return SignQuadruple(eps=eps, eps2=eps2, kap=kap, kap2=form.adjoint_sign(chi) * eps2)
+    """Read (eps, eps2, kap, kap2) of a module's or a test's charge conjugation, grading and form
+    afresh, as ``ist.check_axioms`` reads a triple's, refusing a defect above AXIOM_TOL."""
+    return _signs_of(_cc_readings(form, cc, chi), form.adjoint_sign(chi))
 
 
 def extract_signs(module: CliffordModule, convention: str) -> SignQuadruple:

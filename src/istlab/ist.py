@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, convention_pairing, measure_signs
+from .clifford import CliffordModule, _cc_readings, _signs_of, convention_pairing
 from .dims import dims_from_signs
 from .kspace import (
     AXIOM_TOL,
@@ -30,9 +30,7 @@ from .kspace import (
     _operator,
     _Sparse,
     _read_only,
-    antilinear_adjoint,
     as_matrix,
-    frob,
     in_span,
     realspan,
 )
@@ -119,7 +117,7 @@ def scalar_algebra(n: int) -> FiniteAlgebra:
 class IndefiniteTriple:
     """(algebra, Krein form, Dirac, chirality, charge conjugation).
 
-    Frozen with read-only arrays, so its memoised axiom report and opposites stay valid.
+    Frozen with read-only arrays, so its memoised axioms, J signs and opposites stay valid.
     """
 
     form: KreinForm
@@ -145,6 +143,10 @@ class IndefiniteTriple:
     @cached_property
     def _axioms(self) -> dict:
         return _evaluate_axioms(self)
+
+    @cached_property
+    def _cc_signs(self) -> dict:
+        return _cc_readings(self.form, self.cc, self.chi)
 
     @cached_property
     def _opposite_stack(self):
@@ -179,12 +181,6 @@ def _maxabs(M) -> float:
     return float(np.abs(M).max()) if np.asarray(M).size else 0.0
 
 
-def _sign_defect(A, B) -> float:
-    """max |A - s B| for the sign s = +-1 that brings A nearer to s B."""
-    s = 1 if frob(A - B) <= frob(A + B) else -1
-    return _maxabs(A - s * B)
-
-
 def check_axioms(triple: IndefiniteTriple) -> AxiomReport:
     """Evaluate every triple axiom once per triple; pass iff all violations <= AXIOM_TOL."""
     return AxiomReport(dict(triple._axioms))
@@ -205,9 +201,7 @@ def _evaluate_axioms(triple: IndefiniteTriple) -> dict:
     v["dirac_symmetric"] = _maxabs(form.adjoint(D) - D)
     v["dirac_odd"] = _maxabs(chi @ D @ chi + D)
 
-    v["cc_square"] = _sign_defect(triple.cc.square(), eye)
-    v["cc_adjoint"] = _sign_defect(antilinear_adjoint(triple.cc, form).mat, M)
-    v["cc_homogeneous"] = _sign_defect(M @ np.conj(chi), chi @ M)
+    v.update((name, defect) for name, (_, defect) in triple._cc_signs.items())
     v["cc_dirac_commute"] = _maxabs(M @ np.conj(D) - D @ M)
 
     v["rep_even"] = v["rep_involutive"] = 0.0
@@ -227,9 +221,10 @@ def require_axioms(triple: IndefiniteTriple, what: str = "triple"):
 
 
 def triple_dims(triple: IndefiniteTriple) -> tuple[int, int]:
-    """KO and metric dimensions (n, m) of a compliant triple."""
+    """KO and metric dimensions (n, m) of a compliant triple, from the J signs its axiom check
+    read and kap2 = (-1)^sigma eps2, sigma having passed ``chi_adjoint``: no second reading."""
     require_axioms(triple)
-    return dims_from_signs(measure_signs(triple.form, triple.cc, triple.chi))
+    return dims_from_signs(_signs_of(triple._cc_signs, (-1) ** triple.sigma))
 
 
 def opposite(triple: IndefiniteTriple, X) -> np.ndarray:

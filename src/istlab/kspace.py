@@ -24,11 +24,11 @@ from typing import Callable
 import numpy as np
 
 ATOL = 1e-12         # roundoff-level input checks: Y_R symmetry, hermitian traceless gauge values
-RTOL = 1e-10         # relative matrix equality: hermitian grams, proportionality, operator parity
-AXIOM_TOL = 1e-10    # largest violation of a triple axiom, Clifford relation or order condition
+RTOL = 1e-10         # relative matrix equality: hermitian grams, proportionality
+AXIOM_TOL = 1e-10    # largest axiom, Clifford-relation, order-condition or read_sign defect
 RANK_RTOL = 1e-9     # numerical rank counts singular values above s[0] * RANK_RTOL
 COND_MAX = 1e8       # refuse grams conditioned worse than this
-SIGN_TOL = 1e-8      # a measured scalar this close to +-1 snaps to that sign
+SIGN_TOL = 1e-8      # a scalar read off a computed product this close to +-1 snaps to that sign
 MEMBER_TOL = 1e-8    # accepted span residual / max(1, norm), and self-adjointness/unitarity defect
 UNIT_TOL = 1e-9      # pin_norms accepts vectors with |g(v, v)| this close to 1
 CS_SLACK = 1e-9      # relative slack of the Cauchy-Schwarz bound C1^2 <= 4N(C2 + 2C3)
@@ -289,13 +289,23 @@ def scalar_coefficient(A, B, tol=RTOL) -> complex:
 
 
 def snap_sign(c) -> int:
-    """Round a scalar known to be +-1 onto the exact sign."""
+    """Round a scalar read off a computed product, known to be +-1, onto the exact sign."""
     c = complex(c)
     if abs(c - 1) <= SIGN_TOL:
         return 1
     if abs(c + 1) <= SIGN_TOL:
         return -1
     raise ValueError(f"scalar {c} is not a sign")
+
+
+def read_sign(A, B, refusal: str = "") -> tuple[int, float]:
+    """(s, max |A - s B|) for the sign s = +-1 that brings A nearer to s B: the one reading of
+    a sign relating two operators.  A nonempty ``refusal`` is raised above AXIOM_TOL."""
+    s = 1 if frob(A - B) <= frob(A + B) else -1
+    defect = float(np.abs(A - s * B).max(initial=0.0))
+    if refusal and defect > AXIOM_TOL:
+        raise ValueError(f"{refusal}: defect {defect:.3g} exceeds AXIOM_TOL {AXIOM_TOL:g}")
+    return s, defect
 
 
 def _read_only(M) -> np.ndarray:
@@ -504,7 +514,7 @@ class KreinForm:
 
     def adjoint_sign(self, X) -> int:
         """Sign s with X^x = s X, or raise if X is neither symmetric nor antisymmetric."""
-        return snap_sign(scalar_coefficient(self.adjoint(X), X))
+        return read_sign(self.adjoint(X), X, "X is not Krein symmetric or antisymmetric")[0]
 
 
 @dataclass(frozen=True)
@@ -530,9 +540,7 @@ class AntilinearOperator:
 
     def parity_sign(self, chi) -> int:
         """Sign s with K chi = s chi K, or raise for inhomogeneous K."""
-        lhs = self.mat @ np.conj(chi)
-        rhs = np.asarray(chi) @ self.mat
-        return snap_sign(scalar_coefficient(lhs, rhs))
+        return read_sign(self.mat @ np.conj(chi), chi @ self.mat, "K is not homogeneous")[0]
 
 
 def antilinear_adjoint(K: AntilinearOperator, form: KreinForm) -> AntilinearOperator:

@@ -13,27 +13,13 @@ import numpy as np
 
 from .clifford import CliffordModule, Signature, _assemble, _kron, _product
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms, scalar_algebra
-from .kspace import (
-    RTOL,
-    AntilinearOperator,
-    KreinForm,
-    as_matrix,
-    is_fundamental_symmetry,
-)
+from .kspace import AntilinearOperator, KreinForm, as_matrix, is_fundamental_symmetry, read_sign
 
 
 def operator_parity(X, chi) -> int:
-    """0 for chi-commuting, 1 for anticommuting; mixed parity is rejected."""
-    X = as_matrix(X)
-    chi = as_matrix(chi)
-    comm = float(np.abs(X @ chi - chi @ X).max())
-    anti = float(np.abs(X @ chi + chi @ X).max())
-    scale = max(1.0, float(np.abs(X).max()))
-    if comm <= RTOL * scale:
-        return 0
-    if anti <= RTOL * scale:
-        return 1
-    raise ValueError("operator has mixed parity")
+    """0 for chi-commuting, 1 for anticommuting, by ``read_sign``; mixed parity is rejected."""
+    X, chi = as_matrix(X), as_matrix(chi)
+    return (1 - read_sign(X @ chi, chi @ X, "operator has mixed parity")[0]) // 2
 
 
 def beta_twist(sigma1: int, sigma2: int, chi2) -> np.ndarray:
@@ -72,8 +58,8 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
     chi = _kron(t1.chi, t2.chi)
     dirac = _kron(t1.dirac, np.eye(n2)) + _kron(t1.chi, t2.dirac)
 
-    j1_parity = 0 if t1.cc.parity_sign(t1.chi) == 1 else 1
-    m2 = t2.cc.mat @ t2.chi if j1_parity else t2.cc.mat
+    odd = t1._cc_signs["cc_homogeneous"][0] < 0  # J1 chi1 = -chi1 J1, read by the axiom gate
+    m2 = t2.cc.mat @ t2.chi if odd else t2.cc.mat
     cc = _kron(t1.cc.mat, m2)
 
     def every(x, y):  # x_i (x) y_j over all pairs, i-major, as one broadcast product

@@ -17,13 +17,14 @@ from istlab.clifford import (
     convention_pairing,
     expected_signs,
     extract_signs,
+    measure_signs,
     pin_norms,
     robinson_solution_space,
     verify_relations,
 )
 from istlab.dims import dims_from_signs, mod8, sign_a
-from istlab.kspace import (RANK_RTOL, _Monomial, is_fundamental_symmetry, scalar_coefficient,
-                           snap_sign)
+from istlab.kspace import (AXIOM_TOL, RANK_RTOL, AntilinearOperator, _Monomial,
+                           is_fundamental_symmetry, read_sign, scalar_coefficient, snap_sign)
 
 
 def test_signature_validation():
@@ -123,8 +124,7 @@ def test_chirality_is_normalized_top_element(module_of):
         for g in m.gammas:
             top = top @ g
         phase = 1j ** (((p - q) // 2) % 4)
-        ratio = scalar_coefficient(m.chi, phase * top)
-        assert snap_sign(ratio) in (-1, 1)
+        assert read_sign(m.chi, phase * top)[1] <= AXIOM_TOL  # chi = +-phase * top
         # chi squares to one and anticommutes with every generator
         assert_allclose(m.chi @ m.chi, np.eye(m.dim), atol=1e-12)
         for g in m.gammas:
@@ -358,6 +358,13 @@ def test_pin_norms_products(module_of, rng):
     signs = [float(np.sign(v @ g @ v)) for v in vectors]
     assert x == int(np.prod(signs))
     assert y == int(np.prod([-s for s in signs]))
+
+
+def test_measure_signs_refuses_a_j_off_its_signs_by_more_than_axiom_tol(module_of):
+    m = module_of(1, 3)
+    nudged = AntilinearOperator(m.jplus.mat + 1e-9 * np.eye(m.dim))
+    with pytest.raises(ValueError, match="relations exceed AXIOM_TOL 1e-10: .*cc_square"):
+        measure_signs(m.gram_robinson, nudged, m.chi)
 
 
 def test_charge_conjugation_adjoint_sign(module_of):

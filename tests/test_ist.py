@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cached_module, random_yukawas, supported_signatures
-from istlab import ist, ncforms, sm, tensor
+from conftest import cached_module, nudged_south_triple, random_yukawas, supported_signatures
+from istlab import clifford, ist, kspace, ncforms, sm, tensor
 from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
     FiniteAlgebra,
@@ -234,6 +234,26 @@ def test_check_axioms_evaluates_once_per_triple(module_of, rng, monkeypatch):
     ncforms.project_two_form(model.triple, np.zeros((32, 32)), varpi=model.varpi)
     assert check_axioms(model.triple).ok
     assert len(evaluated) == 3
+
+
+def test_triple_dims_reads_no_sign_after_the_axiom_check(module_of, monkeypatch):
+    t = south_triple(module_of, 1, 3)
+    readings = []
+    for module in (kspace, clifford, tensor):  # each module that calls read_sign by name
+        counted = lambda *a, read=module.read_sign: readings.append(a) or read(*a)  # noqa: E731
+        monkeypatch.setattr(module, "read_sign", counted)
+    assert check_axioms(t).ok and len(readings) == 3  # J^2, J^x and J chi, memoised on t
+    assert triple_dims(t) == triple_dims(t) == (6, 4)
+    assert len(readings) == 3
+
+
+def test_triple_dims_takes_the_signs_the_axiom_check_passed():
+    # one reading under AXIOM_TOL: a triple within it everywhere has dims, where a second
+    # reading by another rule refused this one
+    t = nudged_south_triple()
+    report = check_axioms(t)
+    assert report.ok and 9e-11 < report.worst <= 1e-10
+    assert triple_dims(t) == (6, 4)
 
 
 def test_order_conditions_compose_the_opposites_once_per_triple(rng, monkeypatch):

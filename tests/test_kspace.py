@@ -22,6 +22,7 @@ from istlab.kspace import (
     _operator,
     antilinear_adjoint,
     is_fundamental_symmetry,
+    read_sign,
     real_bilinear_project,
     realspan,
     relate_fundamental_symmetries,
@@ -39,6 +40,20 @@ def test_krein_form_rejects_bad_grams():
         KreinForm([[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="singular"):
         KreinForm(np.zeros((2, 2)))
+
+
+def test_sign_readers_refuse_a_defect_above_axiom_tol():
+    form, chi = KreinForm(np.diag([1.0, -1.0])), np.diag([1.0, -1.0])
+    assert read_sign(-chi, chi) == (-1, 0.0)
+    s, defect = read_sign(chi + 2e-10, chi)
+    assert s == 1 and 1e-10 < defect < 3e-10  # no refusal without a message
+    with pytest.raises(ValueError, match="^off: defect 2e-10 exceeds AXIOM_TOL 1e-10$"):
+        read_sign(chi + 2e-10, chi, "off")
+    assert form.adjoint_sign(chi) == 1 and AntilinearOperator(np.eye(2)).parity_sign(chi) == 1
+    with pytest.raises(ValueError, match="Krein symmetric"):
+        form.adjoint_sign(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        AntilinearOperator(np.eye(2) + 1e-9 * np.ones((2, 2))).parity_sign(chi)
 
 
 def test_krein_adjoint_examples():

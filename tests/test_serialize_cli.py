@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_yukawas
-from istlab import serialize, verify
+from conftest import nudged_south_triple, random_yukawas
+from istlab import clifford, serialize, verify
 from istlab.clifford import Signature, build
 from istlab.cli import main
 from istlab.ist import check_axioms, from_clifford_module
@@ -102,6 +102,13 @@ def test_cli_ist_check(module_of, tmp_path, capsys):
     assert main(["ist-check", "--model", str(path)]) == 0
     err = capsys.readouterr().err
     assert "n=6 m=4" in err
+
+
+def test_cli_ist_check_reports_dims_of_a_triple_within_axiom_tol(tmp_path, capsys):
+    path = tmp_path / "nudged.json"
+    path.write_text(json.dumps(serialize.triple_to_dict(nudged_south_triple())))
+    assert main(["ist-check", "--model", str(path)]) == 0
+    assert "dims: n=6 m=4" in capsys.readouterr().err
 
 
 def test_cli_ist_check_fails_broken_triple(module_of, tmp_path, capsys):
@@ -341,15 +348,16 @@ def test_cli_spectral_action_refuses_non_finite_spacing(capsys, L):
 
 def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):
     # without the cap this would build 24 complex 4096 x 4096 generators; building each
-    # Cl(6, 6) factor takes Kronecker products of up to 64 columns, the cap's spinor size
-    real_kron = np.kron
+    # Cl(6, 6) factor takes Kronecker products of up to 64 columns, the cap's spinor size.
+    # Every module product goes through clifford._kron, so that is where the guard sits
+    real_kron = clifford._kron
 
     def kron(a, b):
         if a.shape[-1] * b.shape[-1] > 64:
             raise AssertionError("Kronecker product over the cap built before the cap check")
         return real_kron(a, b)
 
-    monkeypatch.setattr(np, "kron", kron)
+    monkeypatch.setattr(clifford, "_kron", kron)
     assert main(["tensor", "--left", "6,6", "--right", "6,6"]) == 1
     assert capsys.readouterr().err.startswith("error: dimension 24 exceeds")
 

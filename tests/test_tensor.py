@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas, supported_signatures
-from istlab import tensor
+from istlab import clifford, tensor
 from istlab.clifford import Signature, build, extract_signs, measure_signs, verify_relations
 from istlab.dims import mod8, sign_a
 from istlab.ist import check_axioms, from_clifford_module, triple_dims
@@ -61,7 +61,7 @@ def test_tensor_modules_refuses_products_over_the_cap(module_of, monkeypatch):
         raise AssertionError("Kronecker product built before the cap check")
 
     m1, m2 = module_of(6, 6), module_of(0, 2)
-    monkeypatch.setattr(np, "kron", kron)
+    monkeypatch.setattr(clifford, "_kron", kron)  # clifford._product's only Kronecker product
     with pytest.raises(ValueError, match="dimension 14 exceeds the dense-algebra cap 12"):
         tensor_modules(m1, m2)
 
