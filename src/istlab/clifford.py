@@ -23,6 +23,7 @@ from .kspace import (
     _operator,
     antilinear_adjoint,
     as_matrix,
+    kron,
     read_sign,
     realspan,
     scalar_coefficient,
@@ -158,18 +159,12 @@ def _product(sig1: Signature, data1, sig2: Signature, data2):
     q1, p1, q2 = sig1.q, sig1.p, sig2.q
     g1, chi1, gram1, j1 = data1
     g2, chi2, gram2, j2 = data2
-    first = _kron(np.stack(g1), np.eye(len(chi2)))
-    second = _kron(chi1, np.stack(g2))
+    first = kron(np.stack(g1), np.eye(len(chi2)))
+    second = kron(chi1, np.stack(g2))
     gammas = [*first[:q1], *second[:q2], *first[q1:], *second[q2:]]
     j2_plus = chi2 @ j2 if ((p1 - q1) // 2) % 2 else j2
     h2 = gram2 if q1 % 2 == 0 else (1j ** q2) * gram2 @ chi2
-    return gammas, _kron(chi1, chi2), _kron(gram1, h2), _kron(j1, j2_plus)
-
-
-def _kron(a, b) -> np.ndarray:
-    """np.kron on the last two axes, broadcast over the others: the same one product per entry."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return gammas, kron(chi1, chi2), kron(gram1, h2), kron(j1, j2_plus)
 
 
 def _data(q: int, p: int):

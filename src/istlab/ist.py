@@ -5,11 +5,12 @@ conjugation, a Dirac operator and a represented real *-algebra.  All
 checks are numerical: each axiom reports its worst violation and the
 triple passes when every one is below tolerance.
 
-An algebra is one operator per image stack, which ``kspace._operator`` picks, and a triple
-composes its opposites from the basis operator, the gram and J once.  The library's elements
-are phased partial permutations with phases 1, -1, i or -i, so their products gather rows or
-columns, bit for bit the dense products that a stack holding any other matrix, such as a loaded
-dense element, takes.  Products by the algebra keep to the coordinates they can reach.
+An algebra is stored only as one operator per image stack; dense images are read on demand,
+with no -0.0 zero.  A triple composes its opposites from the basis operator, the gram and J once.
+The library's elements are phased partial permutations with phases 1, -1, i or -i, so their
+products gather rows or columns, bit for bit the dense products that a stack holding any other
+matrix, such as a loaded dense element, takes.  Products by the algebra keep to the coordinates
+they can reach.
 """
 
 from __future__ import annotations
@@ -30,49 +31,37 @@ from .kspace import (
     _operator,
     _Sparse,
     _read_only,
+    _stack_operator,
     as_matrix,
     in_span,
     realspan,
 )
 
 
-def _stacked(mats) -> tuple:
-    """(count, operator over the stack, flat positions of the float parts that are -0.0) of
-    one image set, or (0, None, None)."""
-    S = [as_matrix(M) for M in mats]
-    if not S:
-        return 0, None, None
-    S = np.stack(S)
-    V = S.view(float)
-    return len(S), _operator(S), np.flatnonzero((V == 0) & np.signbit(V))
-
-
 class FiniteAlgebra:
     """Images under the representation of a real basis of the algebra.
 
     ``involution`` lists the images of the starred basis elements in the same order.  Each image
-    set is stored as one ``kspace`` operator over its stack, ``_stacks``, and nothing else;
-    ``basis`` and ``involution`` are read-only matrices built from those when first read, bit for
-    bit the ones passed in.  Closure under multiplication is checked numerically.
+    set, an operator over its stack or a list of matrices that ``_operator`` reads once, is
+    stored as that operator in ``_stacks`` only.  ``basis`` and ``involution`` are read-only
+    matrices read from it when first asked for, a monomial's with no -0.0 zero.  Closure under
+    multiplication is checked numerically.
     """
 
     def __init__(self, basis, involution, labels=None):
-        (self.dim, B, zeros), (m, Binv, inv_zeros) = _stacked(basis), _stacked(involution)
+        B, Binv = _stack_operator(basis), _stack_operator(involution)
+        self.dim, m = (0 if S is None else S.shape[0] for S in (B, Binv))
         if m != self.dim:
             raise ValueError("basis and involution images must align")
-        self._stacks, self._zeros = ((B, Binv), (zeros, inv_zeros)) if m else ((), ())
+        self._stacks = (B, Binv) if m else ()
         self.labels = [f"a{i}" for i in range(m)] if labels is None else labels
 
     basis = cached_property(lambda self: self._images(0))
     involution = cached_property(lambda self: self._images(1))
 
     def _images(self, k) -> list:
-        """Image set k read densely, with the -0.0 parts a monomial's scatter into zeros lacks
-        put back (a dense operator holds the stack passed in, private until this read)."""
-        if not self.dim:
-            return []
-        M = self._stacks[k].dense()
-        M.view(float).reshape(-1)[self._zeros[k]] = -0.0
+        """Image set k read densely, read-only."""
+        M = self._stacks[k].dense() if self.dim else np.zeros((0, 0, 0))
         M.flags.writeable = False
         return list(M)
 

@@ -478,6 +478,36 @@ def _operator(A):
     return _Monomial(perm, np.argsort(perm), phase)
 
 
+def _stack_operator(mats):
+    """mats if an operator over a stack, else the operator of the listed matrices, None if none."""
+    if isinstance(mats, (_Monomial, _Dense)):
+        return mats
+    return _operator(np.stack([as_matrix(M) for M in mats])) if len(mats) else None
+
+
+def _pairs(x, y, f):
+    """f over every pair of matrices (last two axes) of x and of y, i-major, np.kron's spread."""
+    lx, ly, (r, c), (s, t) = x.shape[:-2], y.shape[:-2], x.shape[-2:], y.shape[-2:]
+    if lx and ly:  # a stack pairs with a stack
+        x = x.reshape(lx + (1,) * len(ly) + (r, c))
+    out = f(x[..., :, None, :, None], y[..., None, :, None, :])
+    return out.reshape(((-1,) if lx + ly else ()) + (r * s, c * t))
+
+
+def kron(a, b):
+    """a (x) b of matrices or operators, or stacks of them paired i-major.  Two ``_Monomial``s
+    give one, row i n2 + j to column perm1[i] n2 + perm2[j] with phase1[i] phase2[j]; else it is
+    np.kron's one product per entry, a ``_Dense`` if a factor is an operator."""
+    if isinstance(a, _Monomial) and isinstance(b, _Monomial):
+        fs = (lambda u, v: u * b.perm.shape[-1] + v,) * 2 + (np.multiply,)  # perm, inv, phase
+        return _Monomial(*(_pairs(x[..., None], y[..., None], f)[..., 0] for x, y, f in
+                           zip((a.perm, a.inv, a.phase), (b.perm, b.inv, b.phase), fs)))
+    ops = (_Monomial, _Dense)
+    A, B = (x.dense() if isinstance(x, ops) else np.asarray(x) for x in (a, b))
+    out = _pairs(A, B, np.multiply)
+    return _Dense(out) if isinstance(a, ops) or isinstance(b, ops) else out
+
+
 class KreinForm:
     """Indefinite hermitian pairing (psi, phi) = psi^dag gram phi.
 

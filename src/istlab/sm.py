@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ist import FiniteAlgebra, IndefiniteTriple
-from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, as_matrix
+from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, _operator, as_matrix, kron
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
 DOWN_SLOTS = (1, 5, 6, 7)  # e and the three d colors; the rest are up-type
+GEN_LIMIT = 48  # most generations build_sm takes; a cold `sm --coeffs` at 48 peaks at about 0.6 GB
 
 
 def quaternion(alpha, beta) -> np.ndarray:
@@ -99,7 +100,7 @@ class Couplings:
 
 def _slot_diag(values, n_gen) -> np.ndarray:
     """Diagonal operator with one value per fermion slot, generation-blind."""
-    return np.kron(np.diag(np.asarray(values, dtype=complex)), np.eye(n_gen))
+    return kron(np.diag(np.asarray(values, dtype=complex)), np.eye(n_gen))
 
 
 def _lift_right(lam, n_gen) -> np.ndarray:
@@ -115,7 +116,7 @@ def _lift_left(q2, n_gen) -> np.ndarray:
     for u, d in ((0, 1), (2, 5), (3, 6), (4, 7)):
         out[u, u], out[u, d] = q2[0, 0], q2[0, 1]
         out[d, u], out[d, d] = q2[1, 0], q2[1, 1]
-    return np.kron(out, np.eye(n_gen))
+    return kron(out, np.eye(n_gen))
 
 
 def _lift_bar(lam, m3, n_gen) -> np.ndarray:
@@ -124,7 +125,7 @@ def _lift_bar(lam, m3, n_gen) -> np.ndarray:
     out[0, 0] = out[1, 1] = lam
     out[2:5, 2:5] = m3
     out[5:8, 5:8] = m3
-    return np.kron(out, np.eye(n_gen))
+    return kron(out, np.eye(n_gen))
 
 
 def represent(lam, q2, m3, n_gen) -> np.ndarray:
@@ -150,40 +151,27 @@ _ALGEBRAS = {}  # n_gen -> the shared, read-only FiniteAlgebra
 def sm_algebra(n_gen: int) -> FiniteAlgebra:
     """Real basis of C + H + M3(C) in the blockwise representation.
 
-    The algebra does not depend on the Yukawas, so it is built once per
-    n_gen and shared by every model, together with its memoised closure
-    check; its matrices are read-only.
+    The algebra does not depend on the Yukawas, so it is built once per n_gen and shared by
+    every model, with its memoised closure check.  It is generation-blind: an image set is the
+    operator of the one-generation images (x) 1_N, and no 32N x 32N image is built.
     """
-    algebra = _ALGEBRAS.get(n_gen)
-    if algebra is None:
-        algebra = _ALGEBRAS[n_gen] = _build_sm_algebra(n_gen)
-    return algebra
-
-
-def _build_sm_algebra(n_gen: int) -> FiniteAlgebra:
-    i2 = np.eye(2, dtype=complex)
-    z3 = np.zeros((3, 3), dtype=complex)
-    elements = []  # (label, lam, q, m); the involution takes (conj lam, q^dag, m^dag)
-    elements.append(("c:1", 1, np.zeros((2, 2)), z3))
-    elements.append(("c:i", 1j, np.zeros((2, 2)), z3))
-    for label, q in (
-        ("h:1", i2),
-        ("h:i", quaternion(1j, 0)),
-        ("h:j", quaternion(0, 1)),
-        ("h:k", quaternion(0, 1j)),
-    ):
-        elements.append((label, 0, q, z3))
-    for a in range(3):
-        for b in range(3):
+    if n_gen not in _ALGEBRAS:
+        z2, z3 = np.zeros((2, 2)), np.zeros((3, 3), dtype=complex)
+        units = (("1", np.eye(2, dtype=complex)), ("i", quaternion(1j, 0)),
+                 ("j", quaternion(0, 1)), ("k", quaternion(0, 1j)))
+        # (label, lam, q, m); the involution takes (conj lam, q^dag, m^dag)
+        elements = [("c:1", 1, z2, z3), ("c:i", 1j, z2, z3)]
+        elements += [(f"h:{u}", 0, q, z3) for u, q in units]
+        for a, b in np.ndindex(3, 3):
             e = np.zeros((3, 3), dtype=complex)
             e[a, b] = 1
-            elements.append((f"m:E{a}{b}", 0, np.zeros((2, 2)), e))
-            elements.append((f"m:iE{a}{b}", 0, np.zeros((2, 2)), 1j * e))
-    # FiniteAlgebra stacks one image set at a time and keeps only its operators
-    basis = (represent(lam, q, m, n_gen) for _, lam, q, m in elements)
-    involution = (represent(np.conj(lam), q.conj().T, m.conj().T, n_gen)
-                  for _, lam, q, m in elements)
-    return FiniteAlgebra(basis, involution, [label for label, *_ in elements])
+            elements += [(f"m:E{a}{b}", 0, z2, e), (f"m:iE{a}{b}", 0, z2, 1j * e)]
+        sets = ([represent(lam, q, m, 1) for _, lam, q, m in elements],
+                [represent(np.conj(lam), q.conj().T, m.conj().T, 1) for _, lam, q, m in elements])
+        eye = _operator(np.eye(n_gen))
+        _ALGEBRAS[n_gen] = FiniteAlgebra(*(kron(_operator(np.stack(S)), eye) for S in sets),
+                                         [label for label, *_ in elements])
+    return _ALGEBRAS[n_gen]
 
 
 def yukawa_block(y: YukawaSet) -> np.ndarray:
@@ -251,6 +239,8 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
     choice (-1, -1) it is symmetric, while s*eps_F = -1 forces it
     antisymmetric (and singular in odd generation number).
     """
+    if y.n_gen > GEN_LIMIT:  # before any 32N x 32N matrix
+        raise ValueError(f"N = {y.n_gen} exceeds the generation cap GEN_LIMIT = {GEN_LIMIT}")
     if s not in (-1, 1) or eps_f not in (-1, 1):
         raise ValueError("s and eps_F must be +1 or -1")
     if float(np.abs(y.yr.T - s * eps_f * y.yr).max()) > ATOL * max(
@@ -258,10 +248,10 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
     ):
         raise ValueError("Y_R must satisfy Y_R^T = s*eps_F*Y_R")
     ik = np.eye(N_SLOTS * y.n_gen, dtype=complex)
-    eta = np.kron(np.diag([1, -1, s, -s]), ik)
-    chi = np.kron(np.diag([1, -1, -1, 1]), ik)
+    eta = kron(np.diag([1, -1, s, -s]), ik)
+    chi = kron(np.diag([1, -1, -1, 1]), ik)
     varpi = chi @ eta
-    jmat = np.kron([[0, 0, eps_f, 0], [0, 0, 0, eps_f], [1, 0, 0, 0], [0, 1, 0, 0]], ik)
+    jmat = kron([[0, 0, eps_f, 0], [0, 0, 0, eps_f], [1, 0, 0, 0], [0, 1, 0, 0]], ik)
 
     triple = IndefiniteTriple(
         form=KreinForm(eta),

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature, _assemble, _kron, _product
+from .clifford import CliffordModule, Signature, _assemble, _product
 from .ist import FiniteAlgebra, IndefiniteTriple, require_axioms, scalar_algebra
-from .kspace import AntilinearOperator, KreinForm, as_matrix, is_fundamental_symmetry, read_sign
+from .kspace import (AntilinearOperator, KreinForm, as_matrix, is_fundamental_symmetry, kron,
+                     read_sign)
 
 
 def operator_parity(X, chi) -> int:
@@ -42,7 +43,7 @@ def _product_form(t1: IndefiniteTriple, t2: IndefiniteTriple) -> KreinForm:
     require_axioms(t1, "first factor")
     require_axioms(t2, "second factor")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
-    return KreinForm(_kron(t1.form.gram, t2.form.gram @ beta))
+    return KreinForm(kron(t1.form.gram, t2.form.gram @ beta))
 
 
 def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
@@ -55,24 +56,19 @@ def tensor_ist(t1: IndefiniteTriple, t2: IndefiniteTriple) -> IndefiniteTriple:
     """
     form = _product_form(t1, t2)
     n1, n2 = t1.dim, t2.dim
-    chi = _kron(t1.chi, t2.chi)
-    dirac = _kron(t1.dirac, np.eye(n2)) + _kron(t1.chi, t2.dirac)
+    chi = kron(t1.chi, t2.chi)
+    dirac = kron(t1.dirac, np.eye(n2)) + kron(t1.chi, t2.dirac)
 
     odd = t1._cc_signs["cc_homogeneous"][0] < 0  # J1 chi1 = -chi1 J1, read by the axiom gate
     m2 = t2.cc.mat @ t2.chi if odd else t2.cc.mat
-    cc = _kron(t1.cc.mat, m2)
-
-    def every(x, y):  # x_i (x) y_j over all pairs, i-major, as one broadcast product
-        x, y = np.reshape(x, (-1, 1, n1, n1)), np.reshape(y, (-1, n2, n2))
-        return list(_kron(x, y).reshape(-1, n1 * n2, n1 * n2))
+    cc = kron(t1.cc.mat, m2)
 
     if t1.algebra is scalar_algebra(n1) and t2.algebra is scalar_algebra(n2):
         algebra = scalar_algebra(n1 * n2)  # R (x) R = R, shared with its memoised checks
-    else:
-        basis = every(t1.algebra.basis, t2.algebra.basis)
-        involution = every(t1.algebra.involution, t2.algebra.involution)
+    else:  # the image operators pairwise, i-major; an empty factor gives the zero algebra
+        stacks = [kron(x, y) for x, y in zip(t1.algebra._stacks, t2.algebra._stacks)] or [[], []]
         labels = [f"{la}*{lb}" for la in t1.algebra.labels for lb in t2.algebra.labels]
-        algebra = FiniteAlgebra(basis, involution, labels)
+        algebra = FiniteAlgebra(*stacks, labels)
 
     return IndefiniteTriple(
         form=form,
@@ -99,7 +95,7 @@ def tensor_eta(eta1, eta2, t1: IndefiniteTriple, t2: IndefiniteTriple) -> np.nda
     _privileged_check(eta1, t1, "eta1")
     _privileged_check(eta2, t2, "eta2")
     beta = beta_twist(t1.sigma, t2.sigma, t2.chi)
-    eta = _kron(eta1, np.linalg.solve(beta, eta2))
+    eta = kron(eta1, np.linalg.solve(beta, eta2))
     rep = is_fundamental_symmetry(eta, _product_form(t1, t2))
     if not rep.ok:
         raise ValueError(f"tensored symmetry fails: {rep.reason}")

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cached_module, nudged_south_triple, random_yukawas, supported_signatures
+from conftest import (cached_module, nudged_south_triple, random_yukawas, sm_dense_images,
+                      supported_signatures, zero_signs_moved)
 from istlab import clifford, ist, kspace, ncforms, sm, tensor
 from istlab.clifford import extract_signs, measure_signs
 from istlab.ist import (
@@ -271,38 +273,49 @@ def test_order_conditions_compose_the_opposites_once_per_triple(rng, monkeypatch
 
 def test_checks_and_forms_read_no_dense_images(rng, monkeypatch):
     # the operators are the algebra's only stored form: nothing on these paths reads the
-    # dense images, so a fresh algebra never builds them
+    # dense images, so a fresh algebra never builds them, at one generation or three
     monkeypatch.setattr(sm, "_ALGEBRAS", {})
     monkeypatch.setattr(FiniteAlgebra, "_images", lambda self, k: pytest.fail("images read"))
-    model = build_sm(random_yukawas(rng, 1))
-    t = model.triple
-    assert check_axioms(t).ok and order_zero(t) == 0.0 and first_order(t) == 0.0
-    ncforms.project_two_form(t, np.zeros((32, 32)), varpi=model.varpi)
-    assert not {"basis", "involution"} & vars(t.algebra).keys()
+    for n in (1, 3):
+        model = build_sm(random_yukawas(rng, n))
+        t = model.triple
+        assert check_axioms(t).ok and order_zero(t) == 0.0 and first_order(t) == 0.0
+        ncforms.project_two_form(t, np.zeros((t.dim, t.dim)), varpi=model.varpi)
+        assert not {"basis", "involution"} & vars(t.algebra).keys()
 
 
-def test_read_back_images_are_the_matrices_passed_in(module_of, rng, monkeypatch):
-    # a monomial's read-back scatters its phases into zeros and puts back the -0.0 parts the
-    # matrices passed in had, as the product's kron leaves them, so the bytes are the same
-    passed = []
-
-    class Recording(FiniteAlgebra):
-        def __init__(self, basis, involution, labels=None):
-            passed.append((list(basis), list(involution)))
-            super().__init__(*passed[-1], labels)
-
-    for module in (sm, tensor):
-        monkeypatch.setattr(module, "FiniteAlgebra", Recording)
+def test_sm_algebra_builds_no_image_at_32_generations(monkeypatch):
+    # the operators (x) 1_N hold 24 perm, inv and phase rows of 1024 per image set, where a
+    # dense (24, 1024, 1024) complex image stack is 384 MiB and a single image 16 MiB
     monkeypatch.setattr(sm, "_ALGEBRAS", {})
-    t = build_sm(random_yukawas(rng, 1)).triple
-    product = tensor_ist(from_clifford_module(module_of(3, 1), "west"), t)
-    for algebra, (basis, involution) in zip((t.algebra, product.algebra), passed, strict=True):
-        assert isinstance(algebra._stacks[0], _Monomial) and isinstance(algebra._stacks[1], _Monomial)
-        for got, want in zip(algebra.basis + algebra.involution, basis + involution, strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-    zeros = np.concatenate(product.algebra.basis).view(float)
-    assert np.signbit(zeros[zeros == 0]).any()  # the case the signed zeros are kept for
+    tracemalloc.start()
+    try:
+        algebra = sm_algebra(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert algebra._stacks[0].shape == (24, 1024, 1024) and peak < 8 * 2 ** 20
+
+
+def test_read_back_images_are_the_dense_images_up_to_the_sign_of_zeros(module_of, rng):
+    # a monomial's read-back scatters its phases into zeros: the images are == to the dense
+    # routes', sm.represent's and np.kron's of the factors' dense images, i-major, and every
+    # byte that differs is the sign of a zero, which the dense routes leave -0.0
+    west = from_clifford_module(module_of(3, 1), "west")
+    moved = 0
+    for n in (1, 3):
+        t = build_sm(random_yukawas(rng, n)).triple
+        product = tensor_ist(west, t)
+        sm_sets = sm_dense_images(n)
+        product_sets = [[np.kron(np.eye(west.dim, dtype=complex), b) for b in images]
+                        for images in sm_sets]
+        for algebra, (basis, involution) in ((t.algebra, sm_sets), (product.algebra, product_sets)):
+            assert all(isinstance(op, _Monomial) for op in algebra._stacks)
+            images = algebra.basis + algebra.involution
+            for got, want in zip(images, basis + involution, strict=True):
+                moved += zero_signs_moved(got, want)
+                assert not got.flags.writeable and not np.signbit(got[got == 0].view(float)).any()
+    assert moved > 0  # the case the signs of zeros moved in
 
 
 def test_triple_is_frozen_with_read_only_copies(module_of):

@@ -22,6 +22,7 @@ from istlab.kspace import (
     _operator,
     antilinear_adjoint,
     is_fundamental_symmetry,
+    kron,
     read_sign,
     real_bilinear_project,
     realspan,
@@ -666,3 +667,37 @@ def test_realspan_does_not_import_numpy_ma():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=60, check=True)
     assert res.stdout.strip() == "False"
+
+
+def _partial_monomials(rng, m, n):
+    """m phased partial permutations of size n, phases drawn from 1, -1, i, -i and 0."""
+    M = np.zeros((m, n, n), dtype=complex)
+    for k in range(m):
+        M[k, np.arange(n), rng.permutation(n)] = rng.choice([1, -1, 1j, -1j, 0], size=n)
+    return M
+
+
+def test_kron_is_np_kron_on_operators_and_matrices(rng):
+    # monomial (x) monomial stays monomial; any dense factor gives a dense product; stacks
+    # pair i-major; read densely, every case is np.kron's value for value, and on arrays it is
+    # np.kron's one product per entry, byte for byte
+    mono, other = _partial_monomials(rng, 3, 4), _partial_monomials(rng, 2, 3)
+    assert (mono == 0).all(axis=2).any() and (other == 0).all(axis=2).any()  # zero rows
+    dense = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    seen, flipped = set(), dense.transpose(0, 2, 1)
+    for a, b in ((mono, other), (mono, dense), (dense.conj(), mono), (dense, flipped)):
+        for x, y in ((a, b), (a[0], b), (a, b[-1]), (a[-1], b[0])):
+            want = np.array([np.kron(u, v) for u in x.reshape(-1, *x.shape[-2:])
+                             for v in y.reshape(-1, *y.shape[-2:])])
+            want = want[0] if x.ndim == y.ndim == 2 else want
+            got = kron(_operator(x), _operator(y))
+            both = isinstance(_operator(x), _Monomial) and isinstance(_operator(y), _Monomial)
+            assert isinstance(got, _Monomial if both else _Dense)
+            assert got.shape == want.shape and np.array_equal(got.dense(), want)
+            if both:  # a bijection with its inverse, the zero rows on the zero columns
+                assert np.array_equal(np.take_along_axis(got.perm, got.inv, -1),
+                                      np.broadcast_to(np.arange(want.shape[-1]), got.perm.shape))
+            array = kron(x, y)
+            assert isinstance(array, np.ndarray) and array.tobytes() == want.tobytes()
+            seen.add((both, x.ndim, y.ndim))
+    assert len(seen) == 8

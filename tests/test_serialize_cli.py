@@ -349,15 +349,16 @@ def test_cli_spectral_action_refuses_non_finite_spacing(capsys, L):
 def test_cli_tensor_refuses_products_over_the_cap(capsys, monkeypatch):
     # without the cap this would build 24 complex 4096 x 4096 generators; building each
     # Cl(6, 6) factor takes Kronecker products of up to 64 columns, the cap's spinor size.
-    # Every module product goes through clifford._kron, so that is where the guard sits
-    real_kron = clifford._kron
+    # Every module product goes through kspace.kron, bound as clifford.kron, so that is where
+    # the guard sits
+    real_kron = clifford.kron
 
     def kron(a, b):
         if a.shape[-1] * b.shape[-1] > 64:
             raise AssertionError("Kronecker product over the cap built before the cap check")
         return real_kron(a, b)
 
-    monkeypatch.setattr(clifford, "_kron", kron)
+    monkeypatch.setattr(clifford, "kron", kron)
     assert main(["tensor", "--left", "6,6", "--right", "6,6"]) == 1
     assert capsys.readouterr().err.startswith("error: dimension 24 exceeds")
 

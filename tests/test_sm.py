@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_yukawas
-from istlab import ncforms
+from conftest import random_yukawas, sm_dense_images, zero_signs_moved
+from istlab import cli, ncforms, serialize, sm
 from istlab.clifford import Signature, build
 from istlab.ist import (
     check_axioms,
@@ -14,8 +14,9 @@ from istlab.ist import (
     order_zero,
     triple_dims,
 )
-from istlab.kspace import in_span
+from istlab.kspace import _operator, in_span
 from istlab.sm import (
+    GEN_LIMIT,
     N_SLOTS,
     LagrangianCoeffs,
     YukawaSet,
@@ -521,3 +522,51 @@ def test_sign_operators_match_the_blockwise_restatement(rng, n):
             for got, want in ((t.form.gram, eta), (t.chi, chi), (t.cc.mat, jmat),
                               (model.varpi, chi @ eta)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_algebra_is_the_one_generation_algebra_times_the_identity(n):
+    # represent is generation-blind: the n-generation images are the one-generation ones
+    # (x) 1_n, bit for bit but for the sign of some zeros (the h:k involution image's
+    # one-generation product by 1 + 0j clears the -0.0 real parts of conj(i), which its
+    # n-generation off-diagonal products by 0 keep).  The algebra's operators are byte for byte
+    # those of the dense n-generation images: the dense route is the independent oracle
+    dense, one = sm_dense_images(n), sm_dense_images(1)
+    moved = [zero_signs_moved(got, np.kron(want, np.eye(n)))
+             for got, want in zip(dense[0] + dense[1], one[0] + one[1], strict=True)]
+    assert sum(moved) == moved[24 + sm_algebra(1).labels.index("h:k")] > 0
+    for op, images in zip(sm_algebra(n)._stacks, dense, strict=True):
+        want = _operator(np.stack(images))
+        for name in ("perm", "inv", "phase"):
+            a, b = getattr(op, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _refuse_allocation(monkeypatch):
+    """Make every route to a 32N x 32N matrix in ``sm`` raise."""
+    def refuse(*_, **__):
+        raise AssertionError("a 32N x 32N matrix built before the generation cap check")
+
+    for name in ("eye", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(sm, "kron", refuse)
+    monkeypatch.setattr(sm, "sm_algebra", refuse)
+
+
+def test_build_sm_refuses_n_over_the_cap_before_allocating(monkeypatch):
+    n = GEN_LIMIT + 1
+    y = YukawaSet(*[np.zeros((n, n))] * 5)
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ValueError) as refusal:
+        build_sm(y)
+    assert str(refusal.value) == f"N = {n} exceeds the generation cap GEN_LIMIT = {GEN_LIMIT}"
+
+
+def test_cli_sm_refuses_n_over_the_cap(tmp_path, capsys, monkeypatch):
+    n = GEN_LIMIT + 1
+    path = tmp_path / "model.json"
+    serialize.dump_sm_input(str(path), YukawaSet(*[np.zeros((n, n))] * 5), -1, -1)
+    _refuse_allocation(monkeypatch)
+    assert cli.main(["sm", "--model", str(path), "--coeffs"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: N = {n} exceeds the generation cap GEN_LIMIT = {GEN_LIMIT}\n")

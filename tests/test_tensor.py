@@ -7,7 +7,7 @@ from istlab import clifford, tensor
 from istlab.clifford import Signature, build, extract_signs, measure_signs, verify_relations
 from istlab.dims import mod8, sign_a
 from istlab.ist import check_axioms, from_clifford_module, triple_dims
-from istlab.kspace import is_fundamental_symmetry
+from istlab.kspace import _Dense, _Monomial, is_fundamental_symmetry
 from istlab.sm import build_sm
 from istlab.tensor import beta_twist, operator_parity, tensor_eta, tensor_ist, tensor_modules
 
@@ -61,7 +61,7 @@ def test_tensor_modules_refuses_products_over_the_cap(module_of, monkeypatch):
         raise AssertionError("Kronecker product built before the cap check")
 
     m1, m2 = module_of(6, 6), module_of(0, 2)
-    monkeypatch.setattr(clifford, "_kron", kron)  # clifford._product's only Kronecker product
+    monkeypatch.setattr(clifford, "kron", kron)  # clifford._product's only Kronecker product
     with pytest.raises(ValueError, match="dimension 14 exceeds the dense-algebra cap 12"):
         tensor_modules(m1, m2)
 
@@ -210,7 +210,13 @@ def test_tensor_eta_rejects_non_privileged(module_of):
 
 
 def test_tensor_ist_matches_the_np_kron_route(module_of, monkeypatch):
-    # every Kronecker product, the algebra's pairwise ones included, is np.kron's bit for bit
+    # every Kronecker product is np.kron's: gram, chi, J and Dirac bit for bit, and the images
+    # as values, since a monomial's read-back scatters into zeros and so has no -0.0
+    def np_kron(a, b):  # an operator stack pairs i-major, image by image
+        if isinstance(a, (_Monomial, _Dense)):
+            return [np.kron(x, y) for x in a.dense() for y in b.dense()]
+        return np.kron(a, b)
+
     def fields(t):
         return [t.form.gram, t.chi, t.cc.mat, t.dirac, *t.algebra.basis, *t.algebra.involution]
 
@@ -219,7 +225,8 @@ def test_tensor_ist_matches_the_np_kron_route(module_of, monkeypatch):
              (from_clifford_module(module_of(2, 2), "east"),
               from_clifford_module(module_of(0, 2), "north"))]
     got = [fields(tensor_ist(t1, t2)) for t1, t2 in pairs]
-    monkeypatch.setattr(tensor, "_kron", np.kron)
+    monkeypatch.setattr(tensor, "kron", np_kron)
     for mats, (t1, t2) in zip(got, pairs):
         want = fields(tensor_ist(t1, t2))
         assert len(mats) == len(want) and all(np.array_equal(a, b) for a, b in zip(mats, want))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(mats[:4], want))
