@@ -106,7 +106,7 @@ def scalar_algebra(n: int) -> FiniteAlgebra:
 class IndefiniteTriple:
     """(algebra, Krein form, Dirac, chirality, charge conjugation).
 
-    Frozen with read-only arrays, so its memoised axioms, J signs and opposites stay valid.
+    Frozen with read-only arrays, so its memoised axioms, J signs, opposites and forms stay valid.
     """
 
     form: KreinForm
@@ -140,6 +140,8 @@ class IndefiniteTriple:
     @cached_property
     def _opposite_stack(self):
         return _opposites(self)
+
+    _generators = cached_property(lambda self: _one_form_generators(self))
 
 
 def _require_shape(name: str, M, n: int):
@@ -260,10 +262,14 @@ def first_order(triple: IndefiniteTriple) -> float:
 def one_form_generators(triple: IndefiniteTriple) -> tuple:
     """The nonvanishing [D, pi(b_j)] and the one-forms they generate, on their supports.
 
-    Returns (kept, comms, pairs): the indices j of the kept commutators, those as a
-    ``_Sparse``, and the ``_Sparse`` of pi(a_i) [D, pi(b_j)] over every basis a_i and kept j,
-    i-major.  Dropping a vanishing commutator leaves the real span unchanged.
+    Returns (kept, comms, pairs), memoised on the triple: the indices j of the kept
+    commutators, those as a ``_Sparse``, and the ``_Sparse`` of pi(a_i) [D, pi(b_j)] over every
+    basis a_i and kept j, i-major.  Dropping a vanishing commutator leaves the span unchanged.
     """
+    return triple._generators
+
+
+def _one_form_generators(triple: IndefiniteTriple) -> tuple:
     if not triple.algebra.dim:
         empty = _Sparse(np.zeros((0, 0)), np.zeros(0, np.intp), triple.dirac.shape)
         return [], empty, empty

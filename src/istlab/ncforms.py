@@ -60,8 +60,11 @@ class QSpace:
 
 def q_space(triple: IndefiniteTriple, varpi=None) -> QSpace:
     """Algebra image plus junk on their supports, with the projection product's Gram report."""
-    junk = junk_two_forms(triple)
-    space = realspan(_Sparse.join([triple.algebra._sparse, junk.sparse]))
+    memo = vars(triple)  # varpi enters only the Gram: the spans are memoised as _axioms is
+    if "_q_span" not in memo:
+        junk = junk_two_forms(triple)
+        memo["_q_span"] = junk, realspan(_Sparse.join([triple.algebra._sparse, junk.sparse]))
+    junk, space = memo["_q_span"]
     G = trace_form(space.sparse, space.sparse, varpi).real
     eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     definite = bool(eigs.min() > 0 or eigs.max() < 0)

@@ -10,12 +10,14 @@ and Majorana couplings, and the signs s (field statistics) and eps_F
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ist import FiniteAlgebra, IndefiniteTriple
-from .kspace import ATOL, CS_SLACK, AntilinearOperator, KreinForm, _operator, as_matrix, kron
+from .kspace import (ATOL, CS_SLACK, AntilinearOperator, KreinForm, _operator, _read_only,
+                     as_matrix, kron)
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
@@ -209,9 +211,9 @@ def finite_dirac(y: YukawaSet, eps_f: int) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SMModel:
-    """Yukawa data plus the derived 32N-dimensional finite triple."""
+    """Yukawa data plus the derived 32N-dimensional finite triple, with read-only arrays."""
 
     yukawas: YukawaSet
     s: int
@@ -232,12 +234,17 @@ class SMModel:
         return slice(i * k, (i + 1) * k)
 
 
+_MODELS = weakref.WeakValueDictionary()  # (s, eps_F, each Yukawa's shape and bytes) -> model
+
+
 def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
     """Assemble the finite Standard-Model triple for signs (s, eps_F).
 
     The Majorana block must satisfy Y_R^T = s*eps_F*Y_R; for the physical
     choice (-1, -1) it is symmetric, while s*eps_F = -1 forces it
     antisymmetric (and singular in odd generation number).
+
+    While a caller holds a model, equal Yukawas and signs return it; its arrays are read-only.
     """
     if y.n_gen > GEN_LIMIT:  # before any 32N x 32N matrix
         raise ValueError(f"N = {y.n_gen} exceeds the generation cap GEN_LIMIT = {GEN_LIMIT}")
@@ -247,10 +254,14 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
         1.0, float(np.abs(y.yr).max())
     ):
         raise ValueError("Y_R must satisfy Y_R^T = s*eps_F*Y_R")
+    y = YukawaSet(*(_read_only(m) for m in (y.ynu, y.ye, y.yu, y.yd, y.yr)))
+    key = (s, eps_f) + tuple((m.shape, m.tobytes()) for m in (y.ynu, y.ye, y.yu, y.yd, y.yr))
+    if (model := _MODELS.get(key)) is not None:
+        return model
     ik = np.eye(N_SLOTS * y.n_gen, dtype=complex)
     eta = kron(np.diag([1, -1, s, -s]), ik)
     chi = kron(np.diag([1, -1, -1, 1]), ik)
-    varpi = chi @ eta
+    varpi = _read_only(chi @ eta)
     jmat = kron([[0, 0, eps_f, 0], [0, 0, 0, eps_f], [1, 0, 0, 0], [0, 1, 0, 0]], ik)
 
     triple = IndefiniteTriple(
@@ -261,7 +272,8 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
         algebra=sm_algebra(y.n_gen),
         sigma=0,
     )
-    return SMModel(yukawas=y, s=s, eps_f=eps_f, triple=triple, varpi=varpi)
+    model = _MODELS[key] = SMModel(yukawas=y, s=s, eps_f=eps_f, triple=triple, varpi=varpi)
+    return model
 
 
 def higgs_one_form(model: SMModel, q_h) -> np.ndarray:

@@ -1,9 +1,12 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_yukawas, sm_dense_images, zero_signs_moved
-from istlab import cli, ncforms, serialize, sm
+from istlab import cli, ist, ncforms, serialize, sm
 from istlab.clifford import Signature, build
 from istlab.ist import (
     check_axioms,
@@ -25,6 +28,7 @@ from istlab.sm import (
     _lift_left,
     build_sm,
     couplings,
+    finite_dirac,
     gauge_coupling_matrices,
     gauge_field,
     higgs_coupling_matrix,
@@ -570,3 +574,94 @@ def test_cli_sm_refuses_n_over_the_cap(tmp_path, capsys, monkeypatch):
     assert cli.main(["sm", "--model", str(path), "--coeffs"]) == 1
     assert capsys.readouterr().err == (
         f"error: N = {n} exceeds the generation cap GEN_LIMIT = {GEN_LIMIT}\n")
+
+
+# the memo tests below draw from their own seeds, so no model another test holds is shared
+
+
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) through the module's global, by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _equal_copy(y: YukawaSet) -> YukawaSet:
+    return YukawaSet(*(m.copy() for m in (y.ynu, y.ye, y.yu, y.yd, y.yr)))
+
+
+def test_the_oracle_and_the_projection_share_the_callers_triple(monkeypatch):
+    # one draw as sm-draws runs it: the oracle's build of equal Yukawas (another object) gets
+    # the caller's model, so the axioms and the junk forms are taken once for the draw
+    rng = np.random.default_rng(2701)
+    y, z = random_yukawas(rng, 1), ZParams(*rng.uniform(0.1, 2.0, size=6))
+    model = build_sm(y)
+    calls = _count_calls(monkeypatch, (ist, "_evaluate_axioms"), (ncforms, "junk_two_forms"))
+    assert build_sm(_equal_copy(y)) is model
+    lagrangian_coeffs_oracle(z, _equal_copy(y))
+    X = higgs_field_strength(model, quaternion(0.4 + 0.2j, -0.1 + 0.9j))
+    ncforms.project_two_form(model.triple, X, varpi=model.varpi)
+    assert calls == {"_evaluate_axioms": 1, "junk_two_forms": 1}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_form_generators_are_taken_once_per_triple(monkeypatch, n):
+    model = build_sm(random_yukawas(np.random.default_rng(2702), n))
+    calls = _count_calls(monkeypatch, (ist, "_one_form_generators"))
+    ncforms.one_forms(model.triple)
+    ncforms.q_space(model.triple, model.varpi)
+    fluctuate(model.triple, higgs_one_form(model, quaternion(0.3, 0.2j)))
+    assert calls == {"_one_form_generators": 1}
+
+
+def test_a_model_no_caller_holds_is_not_reused(monkeypatch):
+    y = random_yukawas(np.random.default_rng(2703), 1)
+    model = build_sm(y)
+    check_axioms(model.triple)
+    dropped = weakref.ref(model.triple)
+    del model  # no cycle holds the model: it and its triple go at once, without a collection
+    assert dropped() is None
+    calls = _count_calls(monkeypatch, (ist, "_evaluate_axioms"))
+    assert check_axioms(build_sm(y).triple).ok and calls == {"_evaluate_axioms": 1}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_shared_route_matches_a_fresh_model_bit_for_bit(n):
+    rng = np.random.default_rng(2704)
+    y, z = random_yukawas(rng, n), ZParams(*rng.uniform(0.1, 2.0, size=6))
+    q_h = quaternion(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+    fresh_coeffs = lagrangian_coeffs_oracle(z, y).as_tuple()  # no model held: its own triple
+    fresh = build_sm(_equal_copy(y))
+    fresh_proj = ncforms.project_two_form(fresh.triple, higgs_field_strength(fresh, q_h),
+                                          varpi=fresh.varpi)
+    del fresh
+    model = build_sm(y)
+    shared_coeffs = lagrangian_coeffs_oracle(z, y).as_tuple()  # on the caller's triple
+    proj = ncforms.project_two_form(model.triple, higgs_field_strength(model, q_h),
+                                    varpi=model.varpi)
+    assert shared_coeffs == fresh_coeffs
+    assert proj.tobytes() == fresh_proj.tobytes()
+
+
+def test_a_shared_model_cannot_be_changed_through_any_array():
+    y = random_yukawas(np.random.default_rng(2705), 1)
+    model = build_sm(y)
+    kept = {name: getattr(model.yukawas, name).copy() for name in ("ynu", "ye", "yu", "yd", "yr")}
+    y.ye[0, 0] += 1.0  # the caller's array, edited in place
+    for name, m in kept.items():
+        assert getattr(model.yukawas, name).tobytes() == m.tobytes()
+    edited = build_sm(y)  # not served the model of the old values
+    assert edited is not model
+    assert edited.triple.dirac.tobytes() == finite_dirac(y, -1).tobytes()
+    assert model.triple.dirac.tobytes() == finite_dirac(YukawaSet(**kept), -1).tobytes()
+    for m in (model.varpi, *(getattr(model.yukawas, name) for name in kept)):
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.varpi = np.eye(32)
+    y.ye = y.ynu.copy()  # a reassigned field is new content too
+    assert build_sm(y) is not edited
