@@ -2,7 +2,9 @@
 
 The finite Krein space is a 32N-dimensional sum of right/left particle
 and antiparticle blocks; inside each block the fermion slots are ordered
-(nu, e, u_r, u_g, u_b, d_r, d_g, d_b), each tensored with N generations.
+(nu, e, u_r, u_g, u_b, d_r, d_g, d_b), each tensored with N generations,
+so index = block 8N + slot N + generation.  ``_blocks`` places blocks and
+``_by_slot`` orders slots; the lifts that mix slots name the ones they mix.
 The algebra C + H + M3(C) acts blockwise, the Dirac carries the Yukawa
 and Majorana couplings, and the signs s (field statistics) and eps_F
 (conjugation square) select the physical triple at (-1, -1).
@@ -21,7 +23,6 @@ from .kspace import (ATOL, CS_SLACK, AntilinearOperator, KreinForm, _operator, _
 from . import ncforms
 
 N_SLOTS = 8  # nu, e, u_r, u_g, u_b, d_r, d_g, d_b
-DOWN_SLOTS = (1, 5, 6, 7)  # e and the three d colors; the rest are up-type
 GEN_LIMIT = 48  # most generations build_sm takes; a cold `sm --coeffs` at 48 peaks at about 0.6 GB
 
 
@@ -32,9 +33,9 @@ def quaternion(alpha, beta) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class YukawaSet:
-    """Dirac Yukawas and the Majorana block, all N x N complex."""
+    """Dirac Yukawas and the Majorana block, all N x N complex; a field cannot be rebound."""
 
     ynu: np.ndarray
     ye: np.ndarray
@@ -47,7 +48,7 @@ class YukawaSet:
             m = as_matrix(getattr(self, name))
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
-            setattr(self, name, m)
+            object.__setattr__(self, name, m)
         if len({m.shape[0] for m in (self.ynu, self.ye, self.yu, self.yd, self.yr)}) != 1:
             raise ValueError("all Yukawa matrices must share one size")
 
@@ -100,16 +101,31 @@ class Couplings:
     v: float
 
 
-def _slot_diag(values, n_gen) -> np.ndarray:
-    """Diagonal operator with one value per fermion slot, generation-blind."""
-    return kron(np.diag(np.asarray(values, dtype=complex)), np.eye(n_gen))
+def _blocks(entries, k, count=4) -> np.ndarray:
+    """count x count blocks of size k: entries[(i, j)] at block (i, j), zero elsewhere."""
+    out = np.zeros((count * k, count * k), dtype=complex)
+    for (i, j), b in entries.items():
+        out[i * k: (i + 1) * k, j * k: (j + 1) * k] = b
+    return out
+
+
+def _blockdiag(blocks) -> np.ndarray:
+    return _blocks({(i, i): b for i, b in enumerate(blocks)}, blocks[0].shape[0], len(blocks))
+
+
+def _by_slot(nu, e, u, d) -> list:
+    """One entry per fermion slot, in the slot order (nu, e, u_r, u_g, u_b, d_r, d_g, d_b)."""
+    return [nu, e, u, u, u, d, d, d]
+
+
+def _slot_diag(nu, e, u, d, n_gen) -> np.ndarray:
+    """Diagonal operator with one value per kind of fermion slot, generation-blind."""
+    return _blockdiag(_by_slot(*(complex(v) * np.eye(n_gen) for v in (nu, e, u, d))))
 
 
 def _lift_right(lam, n_gen) -> np.ndarray:
     """a_R for the C component: lambda on up-type slots, conj on down-type."""
-    vals = np.full(N_SLOTS, lam, dtype=complex)
-    vals[list(DOWN_SLOTS)] = np.conj(lam)
-    return _slot_diag(vals, n_gen)
+    return _slot_diag(lam, np.conj(lam), lam, np.conj(lam), n_gen)
 
 
 def _lift_left(q2, n_gen) -> np.ndarray:
@@ -134,17 +150,6 @@ def represent(lam, q2, m3, n_gen) -> np.ndarray:
     """pi(lam, q, m), block diagonal with blocks (a_R, a_L, a_Rbar, a_Lbar)."""
     bar = _lift_bar(lam, m3, n_gen)
     return _blockdiag([_lift_right(lam, n_gen), _lift_left(q2, n_gen), bar, bar])
-
-
-def _blockdiag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at: at + k, at: at + k] = b
-        at += k
-    return out
 
 
 _ALGEBRAS = {}  # n_gen -> the shared, read-only FiniteAlgebra
@@ -178,37 +183,19 @@ def sm_algebra(n_gen: int) -> FiniteAlgebra:
 
 def yukawa_block(y: YukawaSet) -> np.ndarray:
     """The slot-diagonal Yukawa matrix Y on one 8N block."""
-    blocks = [y.ynu, y.ye] + [y.yu] * 3 + [y.yd] * 3
-    return _blockdiag(blocks)
+    return _blockdiag(_by_slot(y.ynu, y.ye, y.yu, y.yd))
 
 
 def majorana_block(y: YukawaSet) -> np.ndarray:
     """The Majorana matrix M: Y_R on the neutrino slot, zero elsewhere."""
-    n = y.n_gen
-    out = np.zeros((N_SLOTS * n, N_SLOTS * n), dtype=complex)
-    out[:n, :n] = y.yr
-    return out
-
-
-def _four_blocks(b12, b21, b13, b31, b34, b43, k) -> np.ndarray:
-    """32N matrix from the nonzero off-diagonal blocks (1-indexed slots)."""
-    out = np.zeros((4 * k, 4 * k), dtype=complex)
-    idx = lambda i: slice((i - 1) * k, i * k)
-    for (i, j, blk) in ((1, 2, b12), (2, 1, b21), (1, 3, b13), (3, 1, b31),
-                        (3, 4, b34), (4, 3, b43)):
-        if blk is not None:
-            out[idx(i), idx(j)] = blk
-    return out
+    return _blockdiag(_by_slot(y.yr, *[np.zeros_like(y.yr)] * 3))
 
 
 def finite_dirac(y: YukawaSet, eps_f: int) -> np.ndarray:
     """The finite Dirac operator D; the statistics sign s enters only eta and J, not D."""
-    Y = yukawa_block(y)
-    M = majorana_block(y)
-    k = Y.shape[0]
-    return _four_blocks(
-        -Y.conj().T, Y, eps_f * M.conj(), M, -Y.T, Y.conj(), k
-    )
+    Y, M = yukawa_block(y), majorana_block(y)
+    return _blocks({(0, 1): -Y.conj().T, (1, 0): Y, (0, 2): eps_f * M.conj(), (2, 0): M,
+                    (2, 3): -Y.T, (3, 2): Y.conj()}, Y.shape[0])
 
 
 @dataclass(frozen=True)
@@ -261,7 +248,7 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
     ik = np.eye(N_SLOTS * y.n_gen, dtype=complex)
     eta = kron(np.diag([1, -1, s, -s]), ik)
     chi = kron(np.diag([1, -1, -1, 1]), ik)
-    varpi = _read_only(chi @ eta)
+    varpi = _read_only(kron(np.diag([1, 1, -s, -s]), ik))  # chi eta, without a dense product
     jmat = kron([[0, 0, eps_f, 0], [0, 0, 0, eps_f], [1, 0, 0, 0], [0, 1, 0, 0]], ik)
 
     triple = IndefiniteTriple(
@@ -278,12 +265,8 @@ def build_sm(y: YukawaSet, s: int = -1, eps_f: int = -1) -> SMModel:
 
 def higgs_one_form(model: SMModel, q_h) -> np.ndarray:
     """The one-form with blocks (L,R) = q~_H Y and (R,L) = -Y^dag q~_H^dag."""
-    q_h = as_matrix(q_h)
-    n = model.n_gen
-    Y = yukawa_block(model.yukawas)
-    qt = _lift_left(q_h, n)
-    k = Y.shape[0]
-    return _four_blocks(-Y.conj().T @ qt.conj().T, qt @ Y, None, None, None, None, k)
+    Y, qt = yukawa_block(model.yukawas), _lift_left(as_matrix(q_h), model.n_gen)
+    return _blocks({(0, 1): -Y.conj().T @ qt.conj().T, (1, 0): qt @ Y}, Y.shape[0])
 
 
 def higgs_field_strength(model: SMModel, q_h) -> np.ndarray:
@@ -335,15 +318,13 @@ def higgs_projection_closed(q_h, y: YukawaSet) -> np.ndarray:
     scalar = float(np.trace(q_h @ q_h.conj().T).real / 2 + np.trace(q_h).real)
     eye_n = np.eye(n)
 
-    right = _blockdiag(
-        [Y.conj().T @ Y - c1 / (12 * n) * eye_n for Y in
-         (y.ynu, y.ye, y.yu, y.yu, y.yu, y.yd, y.yd, y.yd)]
-    )
+    right = _blockdiag(_by_slot(*(Y.conj().T @ Y - c1 / (12 * n) * eye_n
+                                  for Y in (y.ynu, y.ye, y.yu, y.yd))))
     mnu, me, mu, md = y.squared_masses()
     lep = 0.5 * (mnu + me) - c1 / (8 * n) * eye_n
     qrk = 0.5 * (mu + md) - c1 / (8 * n) * eye_n
-    left = _blockdiag([lep, lep, qrk, qrk, qrk, qrk, qrk, qrk])
-    bar = _slot_diag([-c1 / (12 * n)] * 2 + [0] * 6, n)
+    left = _blockdiag(_by_slot(lep, lep, qrk, qrk))
+    bar = _slot_diag(-c1 / (12 * n), -c1 / (12 * n), 0, 0, n)
     return -scalar * _blockdiag([right, left, bar, bar])
 
 
@@ -401,8 +382,8 @@ def lagrangian_coeffs(z: ZParams, y: YukawaSet) -> LagrangianCoeffs:
 def z_matrix(z: ZParams, n_gen: int) -> np.ndarray:
     """The 32N generation-blind trace weight commuting with the algebra."""
     al, be, ga, de, mu_, nu_ = z.as_tuple()
-    zr = _slot_diag([al, ga, be, be, be, de, de, de], n_gen)
-    zl = _slot_diag([mu_, mu_, nu_, nu_, nu_, nu_, nu_, nu_], n_gen)
+    zr = _slot_diag(al, ga, be, de, n_gen)
+    zl = _slot_diag(mu_, mu_, nu_, nu_, n_gen)
     return _blockdiag([zr, zl, zr.conj(), zl.conj()])
 
 

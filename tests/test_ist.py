@@ -23,7 +23,7 @@ from istlab.ist import (
     triple_dims,
 )
 from istlab.kspace import COMM_VANISH, AntilinearOperator, KreinForm, _Dense, _Monomial, realspan
-from istlab.sm import _four_blocks, build_sm, majorana_block, sm_algebra, yukawa_block
+from istlab.sm import build_sm, finite_dirac, sm_algebra
 from istlab.tensor import tensor_ist
 
 
@@ -427,8 +427,7 @@ def _route_cases(rng):
     basis[k][model.block(2), model.block(2)] += 0.1 * basis[k][model.block(1), model.block(1)]
     algebra = FiniteAlgebra(basis, t.algebra.involution)
     yield "sm-leaked-h:j", dataclasses.replace(t, algebra=algebra)
-    Y, M = yukawa_block(y), majorana_block(y)
-    dirac = _four_blocks(-Y.conj().T, Y, -M.conj(), M, -Y.T, Y.conj(), 8)
+    dirac = finite_dirac(y, -1)  # a fresh, writable array
     dirac[model.block(1), model.block(3)] = -0.5
     dirac[model.block(3), model.block(1)] = 0.5
     yield "sm-generic-z", dataclasses.replace(t, dirac=dirac)

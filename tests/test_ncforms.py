@@ -64,8 +64,7 @@ def test_sm_form_dimensions(rng):
 
 def test_sm_junk_degenerates_with_equal_masses(rng):
     y = random_yukawas(rng, 1)
-    y.ye = y.ynu.copy()
-    y.yd = y.yu.copy()
+    y = dataclasses.replace(y, ye=y.ynu.copy(), yd=y.yu.copy())
     model = build_sm(y)
     assert ncforms.junk_two_forms(model.triple).rank == 0
 

@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import nudged_south_triple, random_yukawas
-from istlab import clifford, serialize, verify
+from istlab import cli, clifford, serialize, verify
 from istlab.clifford import Signature, build
 from istlab.cli import main
-from istlab.ist import check_axioms, from_clifford_module
+from istlab.ist import AxiomReport, check_axioms, from_clifford_module
 from istlab.sm import ZParams
 
 
@@ -492,3 +492,56 @@ def test_cli_spectral_action_refuses_a_scan_without_a_count(capsys):
     torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "16", "--L", "1"]
     assert main(["spectral-action", *torus, "--lambda", "10", "--scan-a", "1:2"]) == 1
     assert "expected lo:hi:n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["clifford", "--q", "1", "--p", "3"], "Clifford"),
+    (["tensor", "--left", "1,1", "--right", "0,2"], "tensor"),
+], ids=["clifford", "tensor"])
+def test_cli_exits_2_on_a_relation_failure(argv, what, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_relations", lambda module: 0.5)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{what} relations violated: 0.5\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("target, stub, message", [
+    ("check_axioms", lambda t: AxiomReport({"J^2": 0.5}), "model fails axioms: {'J^2': 0.5}"),
+    ("first_order", lambda t: 0.5, "order conditions violated: 0.0, 0.5"),
+], ids=["axioms", "order"])
+def test_cli_sm_exits_2_on_a_failed_check(target, stub, message, rng, tmp_path, capsys,
+                                          monkeypatch):
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(1, 1, 1, 1, 1, 1))
+    monkeypatch.setattr(cli, "order_zero", lambda t: 0.0)
+    monkeypatch.setattr(cli, target, stub)
+    assert main(["sm", "--model", str(path), "--coeffs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {**d, "yukawas": {**d["yukawas"], "Ye": [[[1, 0], [2, 0]]]}},
+     "ye must be square"),
+    (lambda d: {**d, "yukawas": {**d["yukawas"], "Ye": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+     "all Yukawa matrices must share one size"),
+    (lambda d: {**d, "s": 2}, "s and eps_F must be +1 or -1"),
+    (lambda d: {**d, "epsF": 2}, "s and eps_F must be +1 or -1"),
+], ids=["non-square", "unequal-sizes", "s-2", "epsF-2"])
+def test_cli_sm_refuses_a_model_it_cannot_build(edit, message, rng, tmp_path, capsys):
+    path = tmp_path / "sm.json"
+    serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(1, 1, 1, 1, 1, 1))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["sm", "--model", str(path), "--coeffs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_ist_check_refuses_a_triple_without_a_gram(module_of, tmp_path, capsys):
+    data = serialize.triple_to_dict(from_clifford_module(module_of(1, 3), "south"))
+    del data["gram"]
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(data))
+    assert main(["ist-check", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: triple file is missing field 'gram'\n" and captured.out == ""

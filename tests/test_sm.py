@@ -65,7 +65,7 @@ def test_build_sm_passes_all_checks(rng):
 
 def test_build_sm_rejects_bad_majorana_symmetry(rng):
     y = random_yukawas(rng, 2)
-    y.yr = y.yr + 0.5 * (y.yr - y.yr.T) + np.array([[0, 1], [-1, 0]])
+    y = dataclasses.replace(y, yr=y.yr + 0.5 * (y.yr - y.yr.T) + np.array([[0, 1], [-1, 0]]))
     with pytest.raises(ValueError, match="Y_R"):
         build_sm(y, s=-1, eps_f=-1)
 
@@ -467,13 +467,11 @@ def test_order_conditions_break_under_perturbation(rng):
 def test_first_order_breaks_with_generic_z_block(rng):
     # a generic symmetric Z block couples L and Lbar and spoils order one
     from istlab.ist import first_order, IndefiniteTriple
-    from istlab.sm import _four_blocks, majorana_block, yukawa_block
 
     y = random_yukawas(rng, 1)
     model = build_sm(y)
     Z = 0.5 * np.ones((8, 8))
-    Y, M = yukawa_block(y), majorana_block(y)
-    dirac = _four_blocks(-Y.conj().T, Y, -M.conj(), M, -Y.T, Y.conj(), 8)
+    dirac = finite_dirac(y, -1)  # a fresh, writable array
     dirac[model.block(1), model.block(3)] = -Z.conj()
     dirac[model.block(3), model.block(1)] = Z
     perturbed = IndefiniteTriple(
@@ -523,9 +521,72 @@ def test_sign_operators_match_the_blockwise_restatement(rng, n):
             jmat[2 * k: 3 * k, : k] = ik
             jmat[3 * k:, k: 2 * k] = ik
             t = model.triple
+            varpi = _blockdiag([ik, ik, -s * ik, -s * ik])
             for got, want in ((t.form.gram, eta), (t.chi, chi), (t.cc.mat, jmat),
-                              (model.varpi, chi @ eta)):
+                              (model.varpi, varpi)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.array_equal(model.varpi, chi @ eta)  # varpi = chi eta, up to zero signs
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_sm_layout_matches_explicit_slices(rng, n):
+    # index = block 8N + slot N + generation, with the blocks (R, L, Rbar, Lbar) and the slots
+    # (nu, e, u_r, u_g, u_b, d_r, d_g, d_b): each matrix written out slice by slice, bit for bit
+    k = 8 * n
+    R, L, Rb, Lb = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k), slice(3 * k, 4 * k)
+    slot = [slice(i * n, (i + 1) * n) for i in range(8)]
+    y = random_yukawas(rng, n)
+    model = build_sm(y)
+
+    def same(got, want):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    Y, M = np.zeros((k, k), dtype=complex), np.zeros((k, k), dtype=complex)
+    for i, Yp in enumerate((y.ynu, y.ye, y.yu, y.yu, y.yu, y.yd, y.yd, y.yd)):
+        Y[slot[i], slot[i]] = Yp
+    M[slot[0], slot[0]] = y.yr
+    assert same(yukawa_block(y), Y) and same(majorana_block(y), M)
+
+    for eps_f in (-1, 1):
+        D = np.zeros((4 * k, 4 * k), dtype=complex)
+        D[R, L], D[L, R], D[R, Rb], D[Rb, R] = -Y.conj().T, Y, eps_f * M.conj(), M
+        D[Rb, Lb], D[Lb, Rb] = -Y.T, Y.conj()
+        assert same(finite_dirac(y, eps_f), D)
+
+    q = quaternion(0.6 - 0.1j, 0.2 + 0.3j)
+    q8 = np.zeros((8, 8), dtype=complex)
+    for u, d in ((0, 1), (2, 5), (3, 6), (4, 7)):  # (nu, e) and each (u_c, d_c)
+        q8[np.ix_([u, d], [u, d])] = q
+    qt = np.kron(q8, np.eye(n))
+    H = np.zeros((4 * k, 4 * k), dtype=complex)
+    H[R, L], H[L, R] = -Y.conj().T @ qt.conj().T, qt @ Y
+    assert same(higgs_one_form(model, q), H)
+
+    z = ZParams(0.5, -1.25, 2.0, -0.75, 1.5, -0.5)  # negative weights leave -0.0 parts
+    zr, zl = np.zeros((k, k), dtype=complex), np.zeros((k, k), dtype=complex)
+    for i, (r, l) in enumerate(zip((z.alpha, z.gamma) + (z.beta,) * 3 + (z.delta,) * 3,
+                                   (z.mu, z.mu) + (z.nu,) * 6)):
+        zr[slot[i], slot[i]], zl[slot[i], slot[i]] = complex(r) * np.eye(n), complex(l) * np.eye(n)
+    Z = np.zeros((4 * k, 4 * k), dtype=complex)
+    Z[R, R], Z[L, L], Z[Rb, Rb], Z[Lb, Lb] = zr, zl, zr.conj(), zl.conj()
+    assert same(z_matrix(z, n), Z)
+
+    c1 = yukawa_traces(y)[0]
+    mnu, me, mu, md = y.squared_masses()
+    lep = 0.5 * (mnu + me) - c1 / (8 * n) * np.eye(n)
+    qrk = 0.5 * (mu + md) - c1 / (8 * n) * np.eye(n)
+    P = np.zeros((4 * k, 4 * k), dtype=complex)
+    for i, (Yp, left) in enumerate(zip((y.ynu, y.ye, y.yu, y.yu, y.yu, y.yd, y.yd, y.yd),
+                                       (lep, lep, qrk, qrk, qrk, qrk, qrk, qrk))):
+        P[R, R][slot[i], slot[i]] = Yp.conj().T @ Yp - c1 / (12 * n) * np.eye(n)
+        P[L, L][slot[i], slot[i]] = left
+    for i in (0, 1):  # the antiparticle lepton slots
+        bar = complex(-c1 / (12 * n)) * np.eye(n)
+        P[Rb, Rb][slot[i], slot[i]] = P[Lb, Lb][slot[i], slot[i]] = bar
+    want = -float(np.trace(q @ q.conj().T).real / 2 + np.trace(q).real) * P
+    parts = want.view(float)
+    assert np.signbit(parts[parts == 0]).any()  # the -0.0 parts that `sm --higgs-projection` prints
+    assert same(higgs_projection_closed(q, y), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -663,5 +724,7 @@ def test_a_shared_model_cannot_be_changed_through_any_array():
             m[0, 0] = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.varpi = np.eye(32)
-    y.ye = y.ynu.copy()  # a reassigned field is new content too
+    with pytest.raises(dataclasses.FrozenInstanceError):  # would part the Yukawas from the Dirac
+        model.yukawas.ye = np.zeros((1, 1))
+    y = dataclasses.replace(y, ye=y.ynu.copy())  # a replaced field is new content too
     assert build_sm(y) is not edited
