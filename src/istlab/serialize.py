@@ -98,13 +98,17 @@ def sm_input_from_dict(data: dict):
         raise ValueError(f"model file must hold a JSON object, got {type(data).__name__}")
     try:
         n, s, eps_f = (_integer(data[key], key, "model") for key in ("N", "s", "epsF"))
-        y = YukawaSet(*(decode_matrix(data["yukawas"][key]) for key in _YUKAWA_KEYS))
+        mats = [decode_matrix(data["yukawas"][key]) for key in _YUKAWA_KEYS]
     except KeyError as exc:
         raise ValueError(f"model file is missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a wrongly typed field: {exc}") from exc
-    if y.n_gen != n:
-        raise ValueError("declared N does not match the Yukawa size")
+    for key, M in zip(_YUKAWA_KEYS, mats):  # refusals name the file's keys, not YukawaSet's
+        if M.shape != (n, n):
+            raise ValueError(f"model file declares N = {n}, which does not match its {key}, "
+                             f"{M.shape[0]} x {M.shape[1]}")
+    if not {s, eps_f} <= {-1, 1}:
+        raise ValueError(f"model file has s = {s} and epsF = {eps_f}: each must be +1 or -1")
     z = None
     if "z" in data:
         try:
@@ -117,7 +121,7 @@ def sm_input_from_dict(data: dict):
             z = ZParams(**{k: float(v) for k, v in data["z"].items()})
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"model file has bad z parameters: {exc}") from exc
-    return y, s, eps_f, z
+    return YukawaSet(*mats), s, eps_f, z
 
 
 def load_sm_input(path: str):

@@ -154,28 +154,33 @@ FOURIER_LIMIT = 10 ** 8   # most quadrature-node x circle-mode terms the Fourier
 _BLOCK = 2 ** 14          # entries per streamed slab or table: 128 kB of float64, 256 kB complex
 
 
-def _grid_slabs(spec: TorusSpec):
-    """The N^d eigenvalues in grid order, as slabs of about _BLOCK values.
+def _modes(spec: TorusSpec):
+    """The N//2 + 1 distinct circle modes and their counts: mode N - k repeats mode k."""
+    lam = _circle_eigenvalues(spec.N, spec.a)[: spec.N // 2 + 1]
+    counts = np.ones(lam.size)
+    counts[1:(spec.N + 1) // 2] = 2.0
+    return lam, counts
 
-    The first d - 1 circles are summed out in full (N^(d-1) values); each
-    slab adds the last circle to a run of those partial sums.
+
+def _grid_slabs(spec: TorusSpec, g):
+    """Sums of g over the N^d eigenvalues, one per slab of about _BLOCK terms.
+
+    The terms run over distinct circle modes, (N//2+1)^d of them, each weighted by how
+    often its eigenvalue occurs; weights are products of the counts 1 and 2, so exact.
+    The first d - 1 circles are summed out in full; each slab adds the last circle.
     """
     if spec.N ** spec.d > GRID_LIMIT:
         raise ValueError("eigenvalue grid too large")
-    lam = circle_spectrum(spec.N, spec.a)
+    lam, counts = _modes(spec)
     signs = [1.0] * spec.t + [-1.0] * spec.s
-    head = np.zeros(1)
+    head, weights = np.zeros(1), np.ones(1)
     for sign in signs[:-1]:
         head = np.add.outer(head, sign * lam).ravel()
+        weights = np.multiply.outer(weights, counts).ravel()
     last = signs[-1] * lam
-    rows = max(1, _BLOCK // spec.N)
+    rows = max(1, _BLOCK // lam.size)
     for i in range(0, head.size, rows):
-        yield np.add.outer(head[i:i + rows], last).ravel()
-
-
-def eigenvalue_grid(spec: TorusSpec) -> np.ndarray:
-    """All N^d eigenvalues of the signature Laplacian (t plus, s minus)."""
-    return np.concatenate(list(_grid_slabs(spec)))
+        yield float(weights[i:i + rows] @ g(np.add.outer(head[i:i + rows], last)) @ counts)
 
 
 def spectral_action(
@@ -185,13 +190,13 @@ def spectral_action(
 
     The grid path is exact for N^d within the dense limit; the Fourier
     path needs an integrable transform (gaussian cutoff).  Both agree to
-    1e-6 relative where both run.  Both stream: the grid in slabs, the
-    quadrature in node blocks, so memory stays bounded by N^(d-1) values
-    and by the node count n, never by N^d or n N.  The grid skips exp
-    where it underflows to 0.  The quadrature factors each node's phases
-    into an inner table, shared by all blocks, and an outer table per
-    block, so it takes about sqrt(n) N exponentials and one complex matrix
-    product per block, not n N cosines and sines.  A non-finite action raises.
+    1e-6 relative where both run.  Both stream: the grid in slabs over
+    distinct circle modes, the quadrature in node blocks, so memory grows
+    with (N//2+1)^max(1, d-1) values and with n, never with N^d or n N.
+    The grid skips exp where it underflows to 0.  The quadrature factors
+    each node's phases into an inner table, shared by all blocks, and an
+    outer table per block: about sqrt(n) N exponentials and one complex
+    matrix product per block, not n N cosines and sines.  A non-finite S raises.
     """
     if not (lam_cut > 0 and np.finfo(float).tiny <= float(lam_cut) * float(lam_cut) < math.inf):
         raise ValueError(f"Lambda = {lam_cut!r} must be positive with a finite, normal square")
@@ -200,25 +205,21 @@ def spectral_action(
     if method == "auto":
         method = "grid" if spec.N ** spec.d <= GRID_LIMIT else "fourier"
     if method == "grid":
-        slabs = _grid_slabs(spec)
-        return _finite(math.fsum(float(f(-slab / lam_cut ** 2).sum()) for slab in slabs))
+        with np.errstate(over="ignore"):  # an overflowing weighted sum is inf: _finite refuses it
+            return _finite(math.fsum(_grid_slabs(spec, lambda lam: f(-lam / lam_cut ** 2))))
     if not f.has_fourier:
         raise ValueError("grid too large and cutoff has no Fourier transform")
     if 4001 * spec.N > FOURIER_LIMIT:  # n >= 4001 below; refuse before building the spectrum
         raise ValueError(f"Fourier quadrature too large: over 4001 nodes x {spec.N} modes")
-    eig = _circle_eigenvalues(spec.N, spec.a)
+    lam, mult = _modes(spec)
     scale = 1.0 / lam_cut ** 2
     K = 2.0 * np.sqrt(np.log(10.0) * (16 + spec.d * np.log10(spec.N)))
-    omega = spec.d * float(np.abs(eig).max()) * scale
+    omega = spec.d * float(np.abs(lam).max()) * scale
     n = int(max(4001, 40 * K * max(1.0, omega)))
     if n % 2 == 0:
         n += 1
     if n * spec.N > FOURIER_LIMIT:
         raise ValueError(f"Fourier quadrature too large: {n} nodes x {spec.N} modes")
-    # mode N - k repeats mode k: keep k = 0..N//2 and count k = 1..(N-1)//2 twice
-    lam = eig[: spec.N // 2 + 1]
-    mult = np.ones(lam.size)
-    mult[1:(spec.N + 1) // 2] = 2.0
     # Simpson's rule on n nodes over [-K, K], step h.  The spectrum is real, so
     # tr(-k) = conj(tr(k)) and the integrand is even: sum over k >= 0 only,
     # every node but k = 0 standing for its mirror image too.

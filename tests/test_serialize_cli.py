@@ -309,14 +309,17 @@ def test_cli_spectral_action_refuses_underflowing_cutoff(capsys, N):
 
 
 def test_cli_spectral_action_overflowing_cutoff_is_silent(capsys):
-    # Lambda^2 = 1e-300 is normal, but u^2 overflows; exp(-inf) = 0 leaves the null modes
+    # Lambda^2 = 1e-300 is normal, but u^2 overflows; exp(-inf) = 0 leaves the null modes.
+    # Those are the eigenvalues lambda_{k_t} - lambda_{k_s} = 0, at k_s = +-k_t mod N:
+    # k_t = 0 and k_t = N/2 have one partner k_s = k_t, and the other N - 2 modes two each
+    # (k_s = k_t and N - k_t): 2 + 2 (N - 2) = 2N - 2 = 126 at N = 64
     torus = ["--d", "2", "--t", "1", "--s", "1", "--N", "64", "--L", "1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["spectral-action", *torus, "--lambda", "1e-150", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    assert float(captured.out.splitlines()[1].split(",")[2]) == 78.0
+    assert float(captured.out.splitlines()[1].split(",")[2]) == 126.0
 
 
 @pytest.mark.parametrize("scan", [[], ["--scan-a", "0.0078125:0.03125:3"]])
@@ -522,12 +525,13 @@ def test_cli_sm_exits_2_on_a_failed_check(target, stub, message, rng, tmp_path, 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: {**d, "yukawas": {**d["yukawas"], "Ye": [[[1, 0], [2, 0]]]}},
-     "ye must be square"),
+     "model file declares N = 1, which does not match its Ye, 1 x 2"),
     (lambda d: {**d, "yukawas": {**d["yukawas"], "Ye": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
-     "all Yukawa matrices must share one size"),
-    (lambda d: {**d, "s": 2}, "s and eps_F must be +1 or -1"),
-    (lambda d: {**d, "epsF": 2}, "s and eps_F must be +1 or -1"),
-], ids=["non-square", "unequal-sizes", "s-2", "epsF-2"])
+     "model file declares N = 1, which does not match its Ye, 2 x 2"),
+    (lambda d: {**d, "N": 2}, "model file declares N = 2, which does not match its Ynu, 1 x 1"),
+    (lambda d: {**d, "s": 2}, "model file has s = 2 and epsF = -1: each must be +1 or -1"),
+    (lambda d: {**d, "epsF": 2}, "model file has s = -1 and epsF = 2: each must be +1 or -1"),
+], ids=["non-square", "unequal-sizes", "declared-n", "s-2", "epsF-2"])
 def test_cli_sm_refuses_a_model_it_cannot_build(edit, message, rng, tmp_path, capsys):
     path = tmp_path / "sm.json"
     serialize.dump_sm_input(str(path), random_yukawas(rng, 1), -1, -1, ZParams(1, 1, 1, 1, 1, 1))

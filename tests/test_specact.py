@@ -11,7 +11,6 @@ from istlab.specact import (
     TorusSpec,
     circle_spectrum,
     divergence_exponent,
-    eigenvalue_grid,
     heat_kernel_limit_check,
     heat_trace,
     shift_identity_residual,
@@ -37,6 +36,15 @@ def dense_laplacian(spec):
             M = np.kron(M, D2 if j == i else np.eye(n))
         total += sign * M
     return total
+
+
+def eigenvalue_grid(spec):
+    """The N^d eigenvalues of the signature Laplacian (t plus, s minus), first circle slowest."""
+    lam = circle_spectrum(spec.N, spec.a)
+    grid = np.zeros(1)
+    for sign in [1.0] * spec.t + [-1.0] * spec.s:
+        grid = np.add.outer(grid, sign * lam).ravel()
+    return grid
 
 
 def test_circle_spectrum_fixtures():
@@ -204,23 +212,54 @@ U_SAMPLES = np.linspace(-50.0, 50.0, 2001)
     CutoffFn("sampled", (U_SAMPLES, np.exp(-(U_SAMPLES ** 2)))),
 ], ids=["gaussian", "exp", "sampled"])
 def test_streamed_grid_matches_dense_sum(f):
+    small = TorusSpec(3, 1, 2, 4, 0.5)
+    assert_allclose(np.sort(eigenvalue_grid(small)), np.linalg.eigvalsh(dense_laplacian(small)),
+                    atol=1e-12)
     for spec in (TorusSpec(3, 1, 2, 40, 1 / 40), TorusSpec(2, 0, 2, 200, 0.05),
                  TorusSpec(1, 0, 1, 64, 0.25)):
-        eig = eigenvalue_grid(spec)
-        # grid order: the first circle varies slowest
-        lam = circle_spectrum(spec.N, spec.a)
-        dense = np.zeros(1)
-        for sign in [1.0] * spec.t + [-1.0] * spec.s:
-            dense = np.add.outer(dense, sign * lam).ravel()
-        assert np.array_equal(eig, dense)
-        want = float(f(-eig / 20.0 ** 2).sum())
+        want = float(f(-eigenvalue_grid(spec) / 20.0 ** 2).sum())
         assert abs(spectral_action(spec, f, 20.0, method="grid") - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 9])
+def test_mode_counts_and_grid_weights_are_exact(N):
+    lam, counts = specact._modes(TorusSpec(1, 0, 1, N, 0.3))
+    assert counts.sum() == N and lam.size == N // 2 + 1
+    assert_allclose(np.sort(np.repeat(lam, counts.astype(int))), circle_spectrum(N, 0.3),
+                    atol=1e-12)
+    one = CutoffFn("sampled", ([0.0, 1.0], [1.0, 1.0]))  # f = 1 counts every eigenvalue once
+    for d in range(1, 5):
+        for t in range(d + 1):
+            spec = TorusSpec(d, t, d - t, N, 0.3)
+            assert math.fsum(specact._grid_slabs(spec, np.ones_like)) == N ** d
+            assert spectral_action(spec, one, 5.0, method="grid") == N ** d
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 63, 64])
+def test_grid_counts_the_exact_null_modes(N):
+    # As Lambda -> 0, f(-Delta/Lambda^2) keeps only the eigenvalues that are exactly 0:
+    # lambda_{k_t} - lambda_{k_s} = 0 at k_s = +-k_t mod N.  k_t = 0, and k_t = N/2 for even
+    # N, have one partner k_s = k_t; every other k_t has two, k_s = k_t and N - k_t.  So
+    # 2 + 2 (N - 2) = 2N - 2 for even N (N = 2 too) and 1 + 2 (N - 1) = 2N - 1 for odd N.
+    # The folded grid takes mode N - k's value from mode k, so these terms are exactly 0.
+    S = spectral_action(TorusSpec(2, 1, 1, N, 1 / N), CutoffFn("gaussian"), 1e-150, "grid")
+    assert S == (2 * N - 2 if N % 2 == 0 else 2 * N - 1)
+
+
+@pytest.mark.parametrize("spec, lam", [(TorusSpec(4, 1, 3, 16, 1 / 16), 1.0),
+                                       (TorusSpec(3, 0, 3, 64, 1 / 64), 3.0)])
+def test_grid_refuses_an_overflowing_sum_without_a_warning(spec, lam):
+    # finite values of exp(-u) whose weighted sum overflows: the action is inf and refused,
+    # and pyproject.toml's filter would turn an overflow warning into a failure
+    with pytest.raises(ValueError, match="is not finite"):
+        spectral_action(spec, CutoffFn("exp"), lam, "grid")
 
 
 @pytest.mark.parametrize("spec, method", [
     (TorusSpec(3, 1, 2, 128, 1 / 128), "fourier"),  # 281,905 nodes x 128 modes
     (TorusSpec(4, 1, 3, 56, 1 / 56), "grid"),       # 9.8e6 eigenvalues
     (TorusSpec(1, 1, 0, 8192, 1.0), "fourier"),     # 4001 nodes x 4097 modes: _BLOCK caps R at 3
+    (TorusSpec(2, 0, 2, 3162, 1 / 3162), "grid"),   # 1e7 eigenvalues, 1582 x 1582 terms
 ])
 def test_spectral_action_memory_is_bounded(spec, method):
     tracemalloc.start()
@@ -276,9 +315,13 @@ def test_sampled_cutoff_grid_only():
         spectral_action(spec, sampled, 5.0, method="fourier")
 
 
-def test_eigenvalue_grid_limit():
-    with pytest.raises(ValueError, match="too large"):
-        eigenvalue_grid(TorusSpec(8, 4, 4, 12, 0.1))
+def test_eigenvalue_grid_limit(monkeypatch):
+    def spectrum(*_):
+        raise AssertionError("a spectrum was computed before the grid size was checked")
+
+    monkeypatch.setattr(specact, "_circle_eigenvalues", spectrum)
+    with pytest.raises(ValueError, match="^eigenvalue grid too large$"):
+        spectral_action(TorusSpec(8, 4, 4, 12, 0.1), CutoffFn("gaussian"), 5.0, "grid")
 
 
 def test_heat_kernel_limit():
